@@ -24,13 +24,7 @@ import numpy as np
 
 from .clarke import ClarkeCoordinates, ClarkePair
 from .errors import DomainError
-from .model import TWO_PI
-
-
-def _normalize_angle(theta: float) -> float:
-    out = float(theta) % TWO_PI
-    # A tiny negative input rounds up to exactly 2*pi under %.
-    return 0.0 if out >= TWO_PI else out
+from .model import _normalize_angles
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class ArcParameters:
         if not (self.l > 0.0):
             raise DomainError(f"segment length must be positive, got {self.l}")
         object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "theta", _normalize_angle(self.theta))
+        object.__setattr__(self, "theta", _normalize_angles(float(self.theta)))
         object.__setattr__(self, "l", float(self.l))
         object.__setattr__(self, "theta_defined", bool(self.theta_defined))
 
@@ -118,7 +112,7 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     norm = math.hypot(cc.rho_re, cc.rho_im)
     if norm == 0.0:
         return ArcParameters(kappa=0.0, theta=0.0, l=float(l), theta_defined=False)
-    theta = _normalize_angle(math.atan2(cc.rho_im, cc.rho_re))
+    theta = _normalize_angles(math.atan2(cc.rho_im, cc.rho_re))
     return ArcParameters(kappa=norm / (d * l), theta=theta, l=float(l))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import ClarkeCoordinates, ClarkePair, _as_vector, build_pair, forward
+from .clarke import ClarkeCoordinates, ClarkePair, _as_vector, build_pair, forward, inverse
 from .errors import (
     ArrangementMismatch,
     ConventionMismatch,
@@ -127,6 +127,26 @@ def independent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
     for seg, rho in zip(robot.segments, state.per_segment):
         out.append(forward(build_pair(seg.arrangement), rho))
     return ChainClarke(per_segment=tuple(out))
+
+
+def independent_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
+    """Per-segment displacements realizing given Clarke coordinates for
+    independently actuated chains; roundtrips with :func:`independent_forward`.
+
+    Raises:
+        ConventionMismatch: robot is interdependent.
+        DimensionMismatch: segment count mismatch.
+    """
+    if robot.coupling is not Coupling.INDEPENDENT:
+        raise ConventionMismatch(
+            "robot couples segments interdependently; use interdependent_inverse"
+        )
+    _check_segment_count(robot, len(cc.per_segment))
+    vectors = tuple(
+        inverse(build_pair(seg.arrangement), c)
+        for seg, c in zip(robot.segments, cc.per_segment)
+    )
+    return ChainState(convention=Convention.RHO, per_segment=vectors)
 
 
 def interdependent_accumulate(

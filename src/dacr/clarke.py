@@ -34,12 +34,6 @@ GRAM_DEGENERACY_REL = 1e-12
 # annihilated by the forward transform.
 FILTER_TOL = 1e-9
 
-# Agreement required between the closed-form matrix for symmetric
-# arrangements and the general pseudoinverse route. Looser than the
-# test-suite bound because symmetry detection itself admits angle
-# perturbations up to 1e-9 rad.
-SYMMETRIC_CROSS_CHECK_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ClarkeCoordinates:
@@ -134,24 +128,18 @@ def _pseudoinverse_mp(mp_inv: np.ndarray) -> np.ndarray:
 def build_pair(arr: JointArrangement) -> ClarkePair:
     """Construct the (mp, mp_inv) matrix pair for an arrangement.
 
-    For symmetric arrangements mp uses the closed form (2/n) * mp_inv.T
-    and is cross-checked against the pseudoinverse route; asymmetric
-    arrangements use the pseudoinverse route directly.
+    Symmetric arrangements with n >= 3 use the closed form
+    (2/n) * mp_inv.T; every other arrangement, including the collinear
+    symmetric pair psi = [0, pi], takes the pseudoinverse route.
 
     Raises:
         DegenerateArrangement: joints collinear through the axis.
     """
     mp_inv = build_mp_inv(arr)
-    mp_pinv = _pseudoinverse_mp(mp_inv)
-    if arr.is_symmetric():
+    if arr.n > 2 and arr.is_symmetric():
         mp = (2.0 / arr.n) * mp_inv.T
-        if np.max(np.abs(mp - mp_pinv)) > SYMMETRIC_CROSS_CHECK_TOL:
-            raise ArithmeticError(
-                "closed-form and pseudoinverse Clarke matrices disagree "
-                "for a symmetric arrangement"
-            )
     else:
-        mp = mp_pinv
+        mp = _pseudoinverse_mp(mp_inv)
     filter_ok = bool(np.max(np.abs(mp @ np.ones(arr.n))) <= FILTER_TOL)
     mp = mp.copy()
     mp.flags.writeable = False

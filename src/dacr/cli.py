@@ -29,20 +29,12 @@ from .chain import (
     ChainClarke,
     ChainState,
     independent_forward,
+    independent_inverse,
     interdependent_accumulate,
     interdependent_forward,
     interdependent_inverse,
 )
-from .clarke import (
-    ClarkeCoordinates,
-    ClarkePair,
-    _as_vector,
-    build_pair,
-    forward,
-    inverse,
-    project,
-    validate_displacement,
-)
+from .clarke import ClarkePair, build_pair, project, validate_displacement
 from .errors import (
     ArrangementMismatch,
     ConventionMismatch,
@@ -55,20 +47,14 @@ from .errors import (
     SchemaError,
     UnsupportedArrangement,
 )
-from .model import Coupling, RobotSpec, SegmentSpec, SegmentType, validate_robot
+from .model import Coupling, RobotSpec, SegmentSpec, Violation, validate_robot
 from .segments import (
     Convention,
     ExtendedClarkeState,
     JointState,
-    common_radius,
-    helical_offset,
     recover_length,
-    type1_forward,
-    type1_forward_from_q,
-    type1_inverse_to_q,
-    type2_forward,
-    type3_forward,
-    type3_forward_from_q,
+    segment_forward,
+    segment_inverse,
 )
 
 DEFAULT_VALIDATE_TOL = 1e-9
@@ -107,14 +93,18 @@ def _emit_json(args: argparse.Namespace, obj) -> None:
     _emit(args, lambda fh: io.dump_json(obj, fh))
 
 
+def _print_violations(violations: list[Violation]) -> None:
+    for v in violations:
+        where = "robot" if v.segment is None else f"segment {v.segment}"
+        print(f"invalid robot: {where}: {v.field}: {v.message}", file=sys.stderr)
+
+
 def _load_robot(args: argparse.Namespace) -> RobotSpec:
     """Load the robot description, refusing descriptions with violations."""
     robot = io.load_robot(args.robot)
     violations = validate_robot(robot)
     if violations:
-        for v in violations:
-            where = "robot" if v.segment is None else f"segment {v.segment}"
-            print(f"invalid robot: {where}: {v.field}: {v.message}", file=sys.stderr)
+        _print_violations(violations)
         raise _InvalidInput()
     return robot
 
@@ -126,13 +116,6 @@ def _segment_pair(robot: RobotSpec, index: int) -> tuple[SegmentSpec, ClarkePair
         )
     seg = robot.segments[index]
     return seg, build_pair(seg.arrangement)
-
-
-def _require_filter(pair: ClarkePair) -> None:
-    if not pair.filter_ok:
-        raise FilterPropertyUnavailable(
-            "this operation needs an arrangement that filters constant offsets"
-        )
 
 
 def _with_alpha_override(state: JointState, args: argparse.Namespace) -> JointState:
@@ -153,96 +136,6 @@ def _require_chain(state) -> ChainState:
 
 
 # ---------------------------------------------------------------------------
-# per-segment dispatch
-
-
-def _forward_segment(
-    seg: SegmentSpec,
-    pair: ClarkePair,
-    state: JointState,
-    tol: float | None,
-    l_hint: float | None,
-) -> ExtendedClarkeState:
-    """Dispatch the forward map on segment type and state convention."""
-    t = seg.seg_type
-    if state.beta is not None and not (t is SegmentType.TYPE1 or t is SegmentType.TYPE3):
-        raise ConventionMismatch(f"{t.value} segment takes no beta")
-    if state.alpha is not None and not t.has_twist_joint:
-        raise ConventionMismatch(f"{t.value} segment takes no alpha")
-    if t.has_twist_joint and state.alpha is None:
-        raise ConventionMismatch(f"{t.value} segment needs alpha (in the state or via --alpha)")
-
-    if t is SegmentType.TYPE0 or t is SegmentType.TYPE2:
-        alpha = state.alpha  # None for type0, required for type2 (checked above)
-        if state.convention is Convention.RHO:
-            if t is SegmentType.TYPE2:
-                return type2_forward(pair, state.values, alpha)
-            return ExtendedClarkeState(cc=forward(pair, state.values))
-        # q convention: the fixed length (plus any twist-induced offset)
-        # is an additive constant, so -mp @ q needs the filter property.
-        _require_filter(pair)
-        q = _as_vector(state.values, pair.n, "q")
-        cc = -(pair.mp @ q)
-        return ExtendedClarkeState(
-            cc=ClarkeCoordinates(float(cc[0]), float(cc[1])), alpha=alpha
-        )
-
-    if t is SegmentType.TYPE1:
-        if state.convention is Convention.RHO:
-            if state.beta is None:
-                raise ConventionMismatch("type1 forward on rho needs beta")
-            return type1_forward(pair, state.values, state.beta)
-        if state.beta is not None:
-            raise ConventionMismatch("q already encodes the length; drop beta or use rho")
-        return type1_forward_from_q(pair, state.values, tol=tol)
-
-    # TYPE3
-    if state.convention is Convention.RHO:
-        if state.beta is None:
-            raise ConventionMismatch("type3 forward on rho needs beta")
-        cc = forward(pair, state.values)
-        return ExtendedClarkeState(cc=cc, beta=state.beta, alpha=state.alpha)
-    if state.beta is not None:
-        return type3_forward(pair, state.values, state.beta, state.alpha)
-    d = common_radius(pair.arrangement)
-    hint = l_hint if l_hint is not None else seg.length
-    return type3_forward_from_q(pair, state.values, state.alpha, d, hint, tol=tol)
-
-
-def _inverse_segment(
-    seg: SegmentSpec, pair: ClarkePair, state: ExtendedClarkeState
-) -> JointState:
-    """Dispatch the inverse map on segment type."""
-    t = seg.seg_type
-    if state.beta is not None and not t.has_length_joint:
-        raise ConventionMismatch(f"{t.value} segment takes no beta")
-    if state.alpha is not None and not t.has_twist_joint:
-        raise ConventionMismatch(f"{t.value} segment takes no alpha")
-    if t.has_twist_joint and state.alpha is None:
-        raise ConventionMismatch(f"{t.value} segment needs alpha (in the state or via --alpha)")
-    if t.has_length_joint and state.beta is None:
-        raise ConventionMismatch(f"{t.value} inverse needs beta")
-
-    if t is SegmentType.TYPE0:
-        return JointState(convention=Convention.RHO, values=inverse(pair, state.cc))
-    if t is SegmentType.TYPE1:
-        return JointState(convention=Convention.Q, values=type1_inverse_to_q(pair, state))
-    if t is SegmentType.TYPE2:
-        return JointState(
-            convention=Convention.RHO,
-            values=inverse(pair, state.cc),
-            alpha=state.alpha,
-        )
-    # TYPE3: q = (beta + helix offset) * ones - rho
-    d = common_radius(pair.arrangement)
-    offset = helical_offset(state.alpha, d, state.beta)
-    q = -inverse(pair, state.cc) + (state.beta + offset)
-    return JointState(
-        convention=Convention.Q, values=q, beta=state.beta, alpha=state.alpha
-    )
-
-
-# ---------------------------------------------------------------------------
 # chain dispatch
 
 
@@ -255,15 +148,7 @@ def _chain_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
 def _chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
     if robot.coupling is Coupling.INTERDEPENDENT:
         return interdependent_inverse(robot, cc)
-    if len(cc.per_segment) != len(robot.segments):
-        raise DimensionMismatch(
-            f"state has {len(cc.per_segment)} segments, robot has {len(robot.segments)}"
-        )
-    vectors = tuple(
-        inverse(build_pair(seg.arrangement), c)
-        for seg, c in zip(robot.segments, cc.per_segment)
-    )
-    return ChainState(convention=Convention.RHO, per_segment=vectors)
+    return independent_inverse(robot, cc)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +187,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         return 0
     seg, pair = _segment_pair(robot, args.segment)
     state = _with_alpha_override(state, args)
-    result = _forward_segment(seg, pair, state, args.tol, args.l)
+    result = segment_forward(seg, pair, state, args.tol)
     _emit_json(args, io.clarke_state_dict(result))
     return 0
 
@@ -316,7 +201,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     seg, pair = _segment_pair(robot, args.segment)
     if args.alpha is not None:
         state = ExtendedClarkeState(cc=state.cc, beta=state.beta, alpha=args.alpha)
-    _emit_json(args, io.joint_state_dict(_inverse_segment(seg, pair, state)))
+    _emit_json(args, io.joint_state_dict(segment_inverse(seg, pair, state)))
     return 0
 
 
@@ -327,9 +212,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         _emit_json(args, io.violations_dict(violations))
         return 0 if not violations else 1
     if violations:
-        for v in violations:
-            where = "robot" if v.segment is None else f"segment {v.segment}"
-            print(f"invalid robot: {where}: {v.field}: {v.message}", file=sys.stderr)
+        _print_violations(violations)
         return 1
     tol = args.tol if args.tol is not None else DEFAULT_VALIDATE_TOL
     state = io.load_state(args.input)
@@ -492,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_segment(p)
     _add_tol(p, "off-manifold tolerance for q-side mappings")
     p.add_argument("--alpha", type=float, default=None, help="twist joint value override")
-    p.add_argument("--l", type=float, default=None, help="length hint for twist compensation")
     _add_out(p)
     p.set_defaults(handler=_cmd_forward)
 

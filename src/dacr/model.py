@@ -29,12 +29,21 @@ SYMMETRY_TOL_PSI = 1e-9
 SYMMETRY_TOL_D = 1e-9
 
 
-def _normalize_angles(psi: np.ndarray) -> np.ndarray:
-    """Reduce angles into [0, 2*pi). Values that round up to exactly
-    2*pi (e.g. tiny negative inputs) are clamped to 0."""
-    out = np.mod(psi, TWO_PI)
-    out[out >= TWO_PI] = 0.0
-    return out
+def _normalize_angles(psi):
+    """Reduce a float or an array of angles into [0, 2*pi). Values that
+    round up to exactly 2*pi (e.g. tiny negative inputs) are clamped to 0
+    by multiplying with the comparison, which works for both."""
+    out = psi % TWO_PI
+    return out * (out < TWO_PI)
+
+
+def _common_radius(d: np.ndarray) -> float | None:
+    """d_1 if it is positive and every d_i agrees with it within
+    SYMMETRY_TOL_D relative, else None."""
+    d0 = float(d[0])
+    if d0 > 0.0 and np.max(np.abs(d - d0)) <= SYMMETRY_TOL_D * d0:
+        return d0
+    return None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -88,10 +97,7 @@ class JointArrangement:
         diff = np.mod(self.psi - pattern + np.pi, TWO_PI) - np.pi
         if np.max(np.abs(diff)) > SYMMETRY_TOL_PSI:
             return False
-        d0 = self.d[0]
-        if d0 <= 0.0:
-            return False
-        return bool(np.max(np.abs(self.d - d0)) <= SYMMETRY_TOL_D * abs(d0))
+        return _common_radius(self.d) is not None
 
 
 def make_symmetric_arrangement(n: int, d: float) -> JointArrangement:

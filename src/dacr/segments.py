@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .clarke import ClarkeCoordinates, ClarkePair, _as_vector, forward
+from .clarke import ClarkeCoordinates, ClarkePair, _as_vector, forward, inverse
 from .errors import (
     ConventionMismatch,
     DomainError,
@@ -32,21 +32,11 @@ from .errors import (
     OffManifold,
     UnsupportedArrangement,
 )
-from .model import JointArrangement
+from .model import JointArrangement, SegmentSpec, SegmentType, _common_radius
 
 # Relative scale for the default off-manifold tolerance of the q-side
 # operations: tol = OFF_MANIFOLD_REL * max(1, max|q_i|).
 OFF_MANIFOLD_REL = 1e-6
-
-# recover_length() is validated against the mean-of-q shortcut, which is
-# algebraically equal on valid inputs; disagreement beyond this (scaled
-# like the off-manifold tolerance) means a numerics bug, not bad input.
-_RECOVERY_CROSS_CHECK_REL = 1e-9
-
-# Convergence threshold and iteration cap for the twist-compensation
-# fixed point in type3_forward_from_q.
-_TWIST_FIXED_POINT_TOL = 1e-9
-_TWIST_FIXED_POINT_MAX_ITER = 64
 
 
 class Convention(str, Enum):
@@ -105,32 +95,42 @@ def common_radius(arr: JointArrangement) -> float:
         UnsupportedArrangement: if the d_i differ by more than 1e-9
             relative, or are not positive.
     """
-    d0 = float(arr.d[0])
-    if d0 <= 0.0 or np.max(np.abs(arr.d - d0)) > 1e-9 * abs(d0):
+    d0 = _common_radius(arr.d)
+    if d0 is None:
         raise UnsupportedArrangement(
             "twist mappings need a common positive radial distance across joints"
         )
     return d0
 
 
-def _default_tol(q: np.ndarray) -> float:
-    return OFF_MANIFOLD_REL * max(1.0, float(np.max(np.abs(q))))
+def _require_filter(pair: ClarkePair) -> None:
+    if not pair.filter_ok:
+        raise FilterPropertyUnavailable(
+            "joint lengths need an arrangement whose forward matrix "
+            "annihilates constant vectors"
+        )
+
+
+def _cc_from_q(pair: ClarkePair, q) -> ClarkeCoordinates:
+    """cc = -mp @ q: the sign flips because q = l*ones - rho, and the
+    constant l is filtered out."""
+    return ClarkeCoordinates.from_array(-(pair.mp @ _as_vector(q, pair.n, "q")))
 
 
 def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
     """Recover the segment length from joint lengths.
 
-    Computes (1/n) * ones.T @ (I + mp_inv @ mp) @ q, which equals l for
-    any q = l*ones - rho with on-manifold rho. Valid only when the
-    arrangement has the offset-filtering property; asymmetric
-    arrangements do not, and silently averaging their q would hide a
-    modeling error.
+    The length is (1/n) * ones.T @ (I + mp_inv @ mp) @ q, which equals l
+    for any q = l*ones - rho with on-manifold rho. The projector term
+    sums to zero when the filter property holds, so this is mean(q).
+    Asymmetric arrangements lack that property, and silently averaging
+    their q would hide a modeling error.
 
     Args:
         pair: matrices for the segment's arrangement.
         q: n joint lengths.
         tol: off-manifold residual bound; defaults to
-            1e-6 * max(1, max|q_i|).
+            OFF_MANIFOLD_REL * max(1, max|q_i|).
 
     Raises:
         FilterPropertyUnavailable: if pair.filter_ok is false.
@@ -138,28 +138,12 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
             a valid displacement vector within tol.
         DimensionMismatch: wrong q length.
     """
-    if not pair.filter_ok:
-        raise FilterPropertyUnavailable(
-            "length recovery requires an arrangement whose forward matrix "
-            "annihilates constant vectors"
-        )
+    _require_filter(pair)
     q = _as_vector(q, pair.n, "q")
-    n = pair.n
-    ones = np.ones(n)
-    length = float(ones @ (q + pair.projector @ q)) / n
-
-    # On valid inputs the projector term contributes nothing to the sum,
-    # so the formula degenerates to the plain mean; both routes are kept
-    # and compared as an internal consistency check.
-    shortcut = float(np.mean(q))
-    if abs(length - shortcut) > _RECOVERY_CROSS_CHECK_REL * max(1.0, float(np.max(np.abs(q)))):
-        raise ArithmeticError(
-            "length recovery disagrees with its mean-of-q cross-check"
-        )
-
+    length = float(np.mean(q))
     if tol is None:
-        tol = _default_tol(q)
-    centered = q - length * ones
+        tol = OFF_MANIFOLD_REL * max(1.0, float(np.max(np.abs(q))))
+    centered = q - length
     residual = float(np.linalg.norm(centered - pair.projector @ centered))
     if residual > tol:
         raise OffManifold(
@@ -169,31 +153,18 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
     return length
 
 
-def type1_forward(pair: ClarkePair, rho, beta: float) -> ExtendedClarkeState:
-    """Type-I forward map on displacements: cc = mp @ rho, beta unchanged.
-
-    The extended transform is block-diagonal, so the length joint passes
-    through untouched.
-    """
-    return ExtendedClarkeState(cc=forward(pair, rho), beta=float(beta))
-
-
 def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> ExtendedClarkeState:
     """Type-I forward map on joint lengths: cc = -mp @ q, beta recovered.
 
-    The sign flips because q = l*ones - rho; the constant l is filtered
-    out and reappears as the recovered beta.
+    The constant l in q = l*ones - rho is filtered out of cc and
+    reappears as the recovered beta.
 
     Raises:
         FilterPropertyUnavailable, OffManifold, DimensionMismatch: as in
             :func:`recover_length`.
     """
     beta = recover_length(pair, q, tol=tol)
-    q = _as_vector(q, pair.n, "q")
-    cc = -(pair.mp @ q)
-    return ExtendedClarkeState(
-        cc=ClarkeCoordinates(float(cc[0]), float(cc[1])), beta=beta
-    )
+    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta)
 
 
 def type1_inverse_to_q(pair: ClarkePair, state: ExtendedClarkeState) -> np.ndarray:
@@ -242,13 +213,7 @@ def type3_forward(pair: ClarkePair, q, beta: float, alpha: float) -> ExtendedCla
     Raises:
         DimensionMismatch: wrong q length.
     """
-    q = _as_vector(q, pair.n, "q")
-    cc = -(pair.mp @ q)
-    return ExtendedClarkeState(
-        cc=ClarkeCoordinates(float(cc[0]), float(cc[1])),
-        beta=float(beta),
-        alpha=float(alpha),
-    )
+    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=float(beta), alpha=float(alpha))
 
 
 def type3_forward_from_q(
@@ -256,54 +221,124 @@ def type3_forward_from_q(
     q,
     alpha: float,
     d: float,
-    l_hint: float,
+    l_hint: float | None = None,
     tol: float | None = None,
 ) -> ExtendedClarkeState:
     """Type-III forward map recovering beta from twist-compensated q.
 
-    The helical offset depends on the segment length, which is itself
-    what we are recovering, so the compensation is run as a fixed point:
-    start from l_hint, subtract the offset, recover a length, and repeat
-    until the recovered value settles (it contracts fast; a handful of
-    iterations suffice). The Clarke coordinates are unaffected by the
-    compensation — constants are filtered — only beta depends on it.
+    On the manifold mean(q) = beta + helical_offset(alpha, d, beta)
+    = hypot(alpha*d, beta), so with m = mean(q) and a = |alpha*d| the
+    length is beta = sqrt((m - a) * (m + a)). Length recovery then runs
+    once on the compensated q - (m - beta), which applies the filter and
+    off-manifold checks. The Clarke coordinates come from the raw q:
+    constants are filtered, so the compensation cannot change them.
 
     Args:
         pair: matrices for the segment's arrangement.
         q: n joint lengths including the helical offset.
         alpha: twist joint value, radians.
-        d: common radial distance of the actuation paths.
-        l_hint: initial guess for the segment length, > 0.
+        d: common radial distance of the actuation paths, > 0.
+        l_hint: ignored. Kept in the fifth position so that existing
+            positional callers do not bind their length to ``tol``.
         tol: off-manifold bound passed to length recovery.
 
     Raises:
-        FilterPropertyUnavailable, OffManifold, DimensionMismatch: as in
+        DimensionMismatch, FilterPropertyUnavailable, OffManifold: as in
             :func:`recover_length`.
-        DomainError: non-positive d or l_hint.
+        DomainError: non-positive d, or mean(q) <= |alpha*d| (no
+            positive length explains the joint lengths).
     """
     q = _as_vector(q, pair.n, "q")
-    if not (l_hint > 0.0):
-        raise DomainError(f"length hint must be positive, got {l_hint}")
-    length = float(l_hint)
-    beta = None
-    for _ in range(_TWIST_FIXED_POINT_MAX_ITER):
-        compensated = q - helical_offset(alpha, d, length)
-        beta = recover_length(pair, compensated, tol=tol)
-        if abs(beta - length) < _TWIST_FIXED_POINT_TOL:
-            break
-        length = beta
-    else:
-        raise ArithmeticError("twist compensation did not converge")
-    # Constants are filtered, so cc does not depend on the compensation
-    # at all; computing it from the raw q keeps that exact.
-    cc = -(pair.mp @ q)
-    return ExtendedClarkeState(
-        cc=ClarkeCoordinates(float(cc[0]), float(cc[1])),
-        beta=beta,
-        alpha=float(alpha),
-    )
+    _require_filter(pair)
+    if not (d > 0.0):
+        raise DomainError(f"radial distance must be positive, got {d}")
+    m = float(np.mean(q))
+    a = abs(float(alpha) * float(d))
+    if not (m > a):
+        raise DomainError(
+            f"mean joint length {m} does not exceed the twist arm |alpha*d| = {a}"
+        )
+    beta = recover_length(pair, q - (m - math.sqrt((m - a) * (m + a))), tol=tol)
+    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta, alpha=float(alpha))
 
 
-def type2_forward(pair: ClarkePair, rho, alpha: float) -> ExtendedClarkeState:
-    """Type-II forward map: cc = mp @ rho, alpha unchanged, no length joint."""
-    return ExtendedClarkeState(cc=forward(pair, rho), alpha=float(alpha))
+def _check_joints(t: SegmentType, beta: float | None, alpha: float | None) -> None:
+    """Refuse joint values the segment type does not have, and require alpha."""
+    if beta is not None and not t.has_length_joint:
+        raise ConventionMismatch(f"{t.value} segment takes no beta")
+    if alpha is not None and not t.has_twist_joint:
+        raise ConventionMismatch(f"{t.value} segment takes no alpha")
+    if t.has_twist_joint and alpha is None:
+        raise ConventionMismatch(f"{t.value} segment needs alpha (in the state or via --alpha)")
+
+
+def segment_forward(
+    seg: SegmentSpec, pair: ClarkePair, state: JointState, tol: float | None = None
+) -> ExtendedClarkeState:
+    """Forward map of one segment, dispatched on its type and the state's convention.
+
+    On rho, cc = mp @ rho and the length/twist joints pass through; the
+    length-joint types need beta. On q, cc = -mp @ q: type 0/II need the
+    filter property, type I recovers beta, and type III recovers beta
+    from twist-compensated q unless the state already carries it.
+
+    Args:
+        seg: the segment's description.
+        pair: matrices for the segment's arrangement.
+        state: joint state in either convention.
+        tol: off-manifold bound for the q-side length recovery.
+
+    Raises:
+        ConventionMismatch: joint values the type lacks or needs.
+        FilterPropertyUnavailable, OffManifold, DomainError,
+        DimensionMismatch, UnsupportedArrangement: from the mappings.
+    """
+    t = seg.seg_type
+    _check_joints(t, state.beta, state.alpha)
+    if state.convention is Convention.RHO:
+        if t.has_length_joint and state.beta is None:
+            raise ConventionMismatch(f"{t.value} forward on rho needs beta")
+        return ExtendedClarkeState(
+            cc=forward(pair, state.values), beta=state.beta, alpha=state.alpha
+        )
+    if t is SegmentType.TYPE1:
+        if state.beta is not None:
+            raise ConventionMismatch("q already encodes the length; drop beta or use rho")
+        return type1_forward_from_q(pair, state.values, tol=tol)
+    if t is SegmentType.TYPE3:
+        if state.beta is not None:
+            return type3_forward(pair, state.values, state.beta, state.alpha)
+        d = common_radius(pair.arrangement)
+        return type3_forward_from_q(pair, state.values, state.alpha, d, tol=tol)
+    # type 0/II on q: the fixed length (plus any twist-induced offset)
+    # is an additive constant, so -mp @ q needs the filter property.
+    _require_filter(pair)
+    return ExtendedClarkeState(cc=_cc_from_q(pair, state.values), alpha=state.alpha)
+
+
+def segment_inverse(
+    seg: SegmentSpec, pair: ClarkePair, state: ExtendedClarkeState
+) -> JointState:
+    """Inverse map of one segment, dispatched on its type.
+
+    Types 0/II return displacements rho; the length-joint types return
+    joint lengths q, type III with the helical offset of its twist.
+
+    Raises:
+        ConventionMismatch: joint values the type lacks or needs.
+        UnsupportedArrangement, DomainError: from the type-III offset.
+    """
+    t = seg.seg_type
+    _check_joints(t, state.beta, state.alpha)
+    if t.has_length_joint and state.beta is None:
+        raise ConventionMismatch(f"{t.value} inverse needs beta")
+
+    if t is SegmentType.TYPE1:
+        return JointState(convention=Convention.Q, values=type1_inverse_to_q(pair, state))
+    if t is SegmentType.TYPE3:
+        # q = (beta + helix offset) * ones - rho
+        d = common_radius(pair.arrangement)
+        offset = helical_offset(state.alpha, d, state.beta)
+        q = -inverse(pair, state.cc) + (state.beta + offset)
+        return JointState(convention=Convention.Q, values=q, beta=state.beta, alpha=state.alpha)
+    return JointState(convention=Convention.RHO, values=inverse(pair, state.cc), alpha=state.alpha)

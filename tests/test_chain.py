@@ -19,6 +19,7 @@ from dacr import (
     SegmentType,
     build_pair,
     independent_forward,
+    independent_inverse,
     interdependent_accumulate,
     interdependent_forward,
     interdependent_inverse,
@@ -256,3 +257,33 @@ class TestIndependentForward:
             independent_forward(
                 interdependent(), ChainState(Convention.RHO, (np.zeros(3), np.zeros(3)))
             )
+
+
+class TestIndependentInverse:
+    def test_segments_with_different_joint_counts(self):
+        rob = robot([ARR3, ARR4], (10.0, 20.0), Coupling.INDEPENDENT)
+        out = independent_inverse(
+            rob, ChainClarke((ClarkeCoordinates(2.0, 0.0), ClarkeCoordinates(1.0, 0.0)))
+        )
+        assert out.convention is Convention.RHO
+        np.testing.assert_allclose(out.per_segment[0], [2.0, -1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(out.per_segment[1], [1.0, 0.0, -1.0, 0.0], atol=1e-12)
+
+    def test_roundtrip_with_forward(self):
+        rob = robot([ARR3, ARR4, ARR3], (10.0, 20.0, 5.0), Coupling.INDEPENDENT)
+        pairs = [(1.0, -2.0), (0.5, 3.0), (0.0, 0.0)]
+        cc = ChainClarke(tuple(ClarkeCoordinates(re, im) for re, im in pairs))
+        back = independent_forward(rob, independent_inverse(rob, cc))
+        for a, b in zip(back.per_segment, cc.per_segment):
+            assert a.rho_re == pytest.approx(b.rho_re, abs=1e-12)
+            assert a.rho_im == pytest.approx(b.rho_im, abs=1e-12)
+
+    def test_rejects_wrong_segment_count(self):
+        rob = robot([ARR3, ARR3], (10.0, 20.0), Coupling.INDEPENDENT)
+        with pytest.raises(DimensionMismatch):
+            independent_inverse(rob, ChainClarke((ClarkeCoordinates(0.0, 0.0),)))
+
+    def test_rejects_interdependent_robot(self):
+        cc = ChainClarke((ClarkeCoordinates(0.0, 0.0), ClarkeCoordinates(0.0, 0.0)))
+        with pytest.raises(ConventionMismatch):
+            independent_inverse(interdependent(), cc)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dacr import (
     ClarkeCoordinates,
@@ -64,13 +66,46 @@ class TestBuildPair:
         assert pair.filter_ok
 
     def test_symmetric_matches_pseudoinverse_route(self):
-        # The closed form must agree with the general least-squares route;
-        # both are computed on purpose so a regression in either shows up.
+        # The closed form must agree with the general least-squares route,
+        # which build_pair only takes for other arrangements.
         for n in range(3, 33):
             pair = build_pair(make_symmetric_arrangement(n, 1.0))
             np.testing.assert_allclose(
                 pair.mp, _pseudoinverse_mp(pair.mp_inv), atol=1e-10
             )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 32),
+        d=st.floats(0.5, 20.0),
+        eps_psi=st.floats(0.0, 1e-9),
+        eps_d=st.floats(0.0, 1e-9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_perturbed_symmetric_closed_form_matches_pseudoinverse(
+        self, n, d, eps_psi, eps_d, seed
+    ):
+        # Symmetry detection admits perturbations up to 1e-9 in psi and
+        # (relative) in d; the closed form taken there stays within 1e-8
+        # of the pseudoinverse of the perturbed arrangement.
+        rng = np.random.default_rng(seed)
+        arr = JointArrangement(
+            psi=2.0 * np.pi * np.arange(n) / n + eps_psi * rng.choice([-1.0, 1.0], n),
+            d=d * (1.0 + eps_d * np.concatenate(([0.0], rng.uniform(-1.0, 1.0, n - 1)))),
+        )
+        assume(arr.is_symmetric())
+        mp_inv = build_mp_inv(arr)
+        mp = build_pair(arr).mp
+        np.testing.assert_array_equal(mp, (2.0 / n) * mp_inv.T)
+        assert np.abs(mp - np.linalg.pinv(mp_inv)).max() <= 1e-8
+
+    def test_two_joint_symmetric_pattern_is_degenerate(self):
+        # psi = [0, pi] matches the evenly-spaced pattern but spans one
+        # bending direction only, so no closed form applies.
+        arr = JointArrangement(psi=np.array([0.0, np.pi]), d=np.full(2, 3.0))
+        assert arr.is_symmetric()
+        with pytest.raises(DegenerateArrangement):
+            build_pair(arr)
 
     def test_pseudoinverse_matches_numpy_oracle(self):
         for psi in ([0.1, 1.9, 4.0], [0.0, np.pi / 2, np.pi], [0.5, 2.0, 3.5, 5.0]):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ HALF_PLANE = {
             {"psi": math.pi / 2, "d": 10.0},
             {"psi": math.pi, "d": 10.0},
         ]}},
+    ],
+}
+TYPE3_LONG_ARM = {
+    "segments": [
+        {"type": "type3", "length": 4.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
     ],
 }
 CHAIN2 = {
@@ -159,6 +166,36 @@ class TestForward:
         doc = run_json(capsys, ["forward", "--robot", robot, "--input", state])
         assert doc["segments"][0]["cc"][0] == pytest.approx(2.0, abs=1e-12)
         assert doc["segments"][1]["cc"][0] == pytest.approx(-2.0, abs=1e-12)
+
+    def test_type3_large_twist_recovers_beta(self, write):
+        # alpha*d = 20 against beta = 4: mean(q) = hypot(20, 4), so
+        # beta = sqrt((m - 20) * (m + 20)) = 4.
+        robot = write("robot.json", TYPE3_LONG_ARM)
+        h = math.hypot(20.0, 4.0)
+        state = write("state.json", {"convention": "q", "values": [h - 2.0, h + 1.0, h + 1.0],
+                                     "alpha": 2.0})
+        run = subprocess.run([sys.executable, "-m", "dacr", "forward", "--robot", robot,
+                              "--input", state], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        doc = json.loads(run.stdout)
+        assert doc["beta"] == pytest.approx(4.0, rel=1e-12)
+        assert doc["cc"][0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_type3_mean_below_twist_arm_is_domain_error(self, capsys, write):
+        robot = write("robot.json", TYPE3_LONG_ARM)
+        state = write("state.json", {"convention": "q", "values": [18.0, 21.0, 21.0],
+                                     "alpha": 2.0})
+        code, out, err = run(capsys, ["forward", "--robot", robot, "--input", state])
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_length_hint_flag_is_gone(self, capsys, write):
+        robot = write("robot.json", TYPE3_LONG_ARM)
+        state = write("state.json", {"convention": "q", "values": [5.0, 5.0, 5.0], "alpha": 0.3})
+        with pytest.raises(SystemExit):
+            main(["forward", "--robot", robot, "--input", state, "--l", "8"])
 
 
 class TestInverse:

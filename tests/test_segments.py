@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacr import (
     ClarkeCoordinates,
+    Convention,
     ConventionMismatch,
     DimensionMismatch,
     DomainError,
     ExtendedClarkeState,
     FilterPropertyUnavailable,
     JointArrangement,
+    JointState,
     OffManifold,
+    SegmentSpec,
+    SegmentType,
     UnsupportedArrangement,
     build_pair,
     common_radius,
@@ -20,10 +26,10 @@ from dacr import (
     joint_lengths,
     make_symmetric_arrangement,
     recover_length,
-    type1_forward,
+    segment_forward,
+    segment_inverse,
     type1_forward_from_q,
     type1_inverse_to_q,
-    type2_forward,
     type3_forward,
     type3_forward_from_q,
 )
@@ -33,6 +39,13 @@ PAIR4 = build_pair(make_symmetric_arrangement(4, 10.0))
 ASYM = build_pair(
     JointArrangement(psi=np.array([0.0, np.pi / 2, np.pi]), d=np.full(3, 10.0))
 )
+
+
+def rho_forward(pair, seg_type, rho, beta=None, alpha=None):
+    """segment_forward on a displacement state of the given segment type."""
+    seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=seg_type)
+    state = JointState(convention=Convention.RHO, values=rho, beta=beta, alpha=alpha)
+    return segment_forward(seg, pair, state)
 
 
 class TestJointLengths:
@@ -95,20 +108,37 @@ class TestRecoverLength:
         q = joint_lengths(12.5, inverse(PAIR4, ClarkeCoordinates(1.0, -2.0)))
         assert recover_length(PAIR4, q) == pytest.approx(float(np.mean(q)), abs=1e-10)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 16),
+        d=st.floats(0.5, 20.0),
+        l=st.floats(0.1, 1000.0),
+        re=st.floats(-10.0, 10.0),
+        im=st.floats(-10.0, 10.0),
+    )
+    def test_mean_equals_projector_formula(self, n, d, l, re, im):
+        # recover_length returns mean(q); the paper's formula
+        # (1/n) * ones.T @ (I + mp_inv @ mp) @ q must agree on the
+        # domain of acceptance criterion 06.
+        pair = build_pair(make_symmetric_arrangement(n, d))
+        q = l - inverse(pair, ClarkeCoordinates(re, im))
+        formula = float(np.ones(n) @ (q + pair.projector @ q)) / n
+        assert abs(recover_length(pair, q) - formula) <= 1e-9 * max(1.0, float(np.abs(q).max()))
+
 
 class TestTypeOne:
     def test_forward_passes_beta_through(self):
-        state = type1_forward(PAIR3, [2.0, -1.0, -1.0], beta=5.0)
+        state = rho_forward(PAIR3, SegmentType.TYPE1, [2.0, -1.0, -1.0], beta=5.0)
         assert state.cc.rho_re == pytest.approx(2.0, abs=1e-12)
         assert state.beta == 5.0
         assert state.alpha is None
 
     def test_forward_zero(self):
-        state = type1_forward(PAIR3, np.zeros(3), beta=0.0)
+        state = rho_forward(PAIR3, SegmentType.TYPE1, np.zeros(3), beta=0.0)
         assert (state.cc.rho_re, state.cc.rho_im, state.beta) == (0.0, 0.0, 0.0)
 
     def test_forward_four_joints(self):
-        state = type1_forward(PAIR4, [1.0, 0.0, -1.0, 0.0], beta=-2.0)
+        state = rho_forward(PAIR4, SegmentType.TYPE1, [1.0, 0.0, -1.0, 0.0], beta=-2.0)
         assert state.cc.rho_re == pytest.approx(1.0, abs=1e-12)
         assert state.beta == -2.0
 
@@ -213,41 +243,82 @@ class TestTypeThree:
             assert type3_forward(PAIR3, q, beta=4.0, alpha=float(alpha)).cc == reference
 
     def test_forward_from_q_worked_example(self):
-        state = type3_forward_from_q(PAIR3, [3.0, 6.0, 6.0], alpha=0.3, d=10.0, l_hint=4.0)
+        state = type3_forward_from_q(PAIR3, [3.0, 6.0, 6.0], alpha=0.3, d=10.0)
         assert state.cc.rho_re == pytest.approx(2.0, abs=1e-12)
         assert state.beta == pytest.approx(4.0, rel=1e-9)
         assert state.alpha == 0.3
 
     def test_forward_from_q_straight_untwisted(self):
-        state = type3_forward_from_q(PAIR3, [6.0, 6.0, 6.0], alpha=0.0, d=10.0, l_hint=6.0)
+        state = type3_forward_from_q(PAIR3, [6.0, 6.0, 6.0], alpha=0.0, d=10.0)
         assert state.cc.rho_re == pytest.approx(0.0, abs=1e-12)
         assert state.beta == pytest.approx(6.0, rel=1e-12)
 
     def test_compensation_does_not_change_cc(self):
         q = [3.0, 6.0, 6.0]
-        compensated = type3_forward_from_q(PAIR3, q, alpha=0.3, d=10.0, l_hint=4.0)
+        compensated = type3_forward_from_q(PAIR3, q, alpha=0.3, d=10.0)
         raw = type3_forward(PAIR3, q, beta=0.0, alpha=0.3)
         assert compensated.cc == raw.cc
 
-    def test_fixed_point_recovers_length_from_rough_hint(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            l = float(rng.uniform(0.5, 100.0))
-            alpha = float(rng.uniform(-np.pi, np.pi))
-            d = float(rng.uniform(0.5, 20.0))
-            pair = build_pair(make_symmetric_arrangement(int(rng.integers(3, 9)), d))
-            rho = inverse(pair, ClarkeCoordinates(*(rng.normal(0, 0.05) * l for _ in range(2))))
-            q = (l + helical_offset(alpha, d, l)) - rho
-            state = type3_forward_from_q(pair, q, alpha=alpha, d=d, l_hint=2.0 * l)
-            assert state.beta == pytest.approx(l, rel=1e-8)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 8),
+        d=st.floats(0.5, 20.0),
+        l=st.floats(0.5, 100.0),
+        ratio=st.floats(0.0, 100.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        re=st.floats(-0.05, 0.05),
+        im=st.floats(-0.05, 0.05),
+    )
+    def test_closed_form_recovers_length(self, n, d, l, ratio, sign, re, im):
+        # |alpha*d| / beta up to 100: far beyond where a fixed point on
+        # the length contracts usefully.
+        alpha = sign * ratio * l / d
+        pair = build_pair(make_symmetric_arrangement(n, d))
+        q = (l + helical_offset(alpha, d, l)) - inverse(pair, ClarkeCoordinates(re * l, im * l))
+        state = type3_forward_from_q(pair, q, alpha=alpha, d=d)
+        assert state.beta == pytest.approx(l, rel=1e-8)
+        assert state.alpha == alpha
+
+    def test_large_twist_arm_worked_example(self):
+        # alpha*d = 20 against beta = 4: mean(q) = hypot(20, 4).
+        q = np.hypot(20.0, 4.0) - np.array([2.0, -1.0, -1.0])
+        state = type3_forward_from_q(PAIR3, q, alpha=2.0, d=10.0)
+        assert state.beta == pytest.approx(4.0, rel=1e-12)
+        assert state.cc.rho_re == pytest.approx(2.0, abs=1e-12)
+
+    def test_length_hint_is_ignored(self):
+        q = [3.0, 6.0, 6.0]
+        hinted = type3_forward_from_q(PAIR3, q, 0.3, 10.0, 1e6)
+        assert hinted == type3_forward_from_q(PAIR3, q, 0.3, 10.0)
+
+    @pytest.mark.parametrize(
+        "q, alpha",
+        [
+            ([0.0, 3.0, 3.0], 0.3),
+            ([1.0, 3.0, 2.0], -0.3),
+            ([-1.0, -1.0, -1.0], 0.0),
+            ([5.0, 5.0, 5.0], 0.5),
+        ],
+    )
+    def test_mean_not_above_twist_arm_is_domain_error(self, q, alpha):
+        # mean(q) <= |alpha*d| (equal in the last case): no positive
+        # length explains q.
+        with pytest.raises(DomainError):
+            type3_forward_from_q(PAIR3, q, alpha=alpha, d=10.0)
+
+    def test_non_positive_radius_is_domain_error(self):
+        with pytest.raises(DomainError):
+            type3_forward_from_q(PAIR3, [3.0, 6.0, 6.0], alpha=0.3, d=0.0)
+
+    def test_error_precedence(self):
+        with pytest.raises(DimensionMismatch):
+            type3_forward_from_q(ASYM, [1.0, 1.0], alpha=0.3, d=10.0)
+        with pytest.raises(FilterPropertyUnavailable):
+            type3_forward_from_q(ASYM, [1.0, 1.0, 1.0], alpha=0.3, d=10.0)
 
     def test_forward_from_q_needs_filter_property(self):
         with pytest.raises(FilterPropertyUnavailable):
-            type3_forward_from_q(ASYM, [3.0, 6.0, 6.0], alpha=0.3, d=10.0, l_hint=4.0)
-
-    def test_forward_from_q_rejects_bad_hint(self):
-        with pytest.raises(DomainError):
-            type3_forward_from_q(PAIR3, [3.0, 6.0, 6.0], alpha=0.3, d=10.0, l_hint=0.0)
+            type3_forward_from_q(ASYM, [3.0, 6.0, 6.0], alpha=0.3, d=10.0)
 
     def test_generalized_offset_immunity(self):
         # Any scalar added uniformly to q leaves the coordinates alone.
@@ -261,23 +332,101 @@ class TestTypeThree:
 
 class TestTypeTwo:
     def test_forward_passes_alpha_through(self):
-        state = type2_forward(PAIR3, [2.0, -1.0, -1.0], alpha=0.3)
+        state = rho_forward(PAIR3, SegmentType.TYPE2, [2.0, -1.0, -1.0], alpha=0.3)
         assert state.cc.rho_re == pytest.approx(2.0, abs=1e-12)
         assert state.alpha == 0.3
         assert state.beta is None
 
     def test_forward_zero(self):
-        state = type2_forward(PAIR3, np.zeros(3), alpha=1.0)
+        state = rho_forward(PAIR3, SegmentType.TYPE2, np.zeros(3), alpha=1.0)
         assert (state.cc.rho_re, state.cc.rho_im) == (0.0, 0.0)
 
     def test_matches_type3_with_length_dropped(self):
         rho = [2.0, -1.0, -1.0]
-        two = type2_forward(PAIR3, rho, alpha=0.3)
+        two = rho_forward(PAIR3, SegmentType.TYPE2, rho, alpha=0.3)
         three = type3_forward(PAIR3, joint_lengths(4.0 + 1.0, rho), beta=4.0, alpha=0.3)
         assert two.cc.rho_re == pytest.approx(three.cc.rho_re, abs=1e-12)
         assert two.cc.rho_im == pytest.approx(three.cc.rho_im, abs=1e-12)
         assert two.alpha == three.alpha
         assert two.beta is None
+
+
+class TestSegmentDispatch:
+    @staticmethod
+    def seg(pair, seg_type, length=4.0):
+        return SegmentSpec(arrangement=pair.arrangement, length=length, seg_type=seg_type)
+
+    @pytest.mark.parametrize(
+        "seg_type, alpha", [(SegmentType.TYPE0, None), (SegmentType.TYPE2, 0.3)]
+    )
+    def test_q_forward_filters_the_constant(self, seg_type, alpha):
+        state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0], alpha=alpha)
+        out = segment_forward(self.seg(PAIR3, seg_type), PAIR3, state)
+        assert out.cc.rho_re == pytest.approx(2.0, abs=1e-12)
+        assert (out.beta, out.alpha) == (None, alpha)
+
+    def test_q_forward_needs_filter_property(self):
+        state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0])
+        with pytest.raises(FilterPropertyUnavailable):
+            segment_forward(self.seg(ASYM, SegmentType.TYPE0), ASYM, state)
+
+    def test_type3_q_without_beta_recovers_it(self):
+        state = JointState(convention=Convention.Q, values=[3.0, 6.0, 6.0], alpha=0.3)
+        out = segment_forward(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
+        assert out.beta == pytest.approx(4.0, rel=1e-12)
+        assert out.cc == type3_forward(PAIR3, [3.0, 6.0, 6.0], 4.0, 0.3).cc
+
+    @pytest.mark.parametrize(
+        "seg_type, beta, alpha",
+        [
+            (SegmentType.TYPE0, 1.0, None),
+            (SegmentType.TYPE0, None, 0.3),
+            (SegmentType.TYPE2, None, None),
+            (SegmentType.TYPE1, None, None),
+        ],
+    )
+    def test_joint_values_must_match_type(self, seg_type, beta, alpha):
+        state = JointState(Convention.RHO, [2.0, -1.0, -1.0], beta=beta, alpha=alpha)
+        with pytest.raises(ConventionMismatch):
+            segment_forward(self.seg(PAIR3, seg_type), PAIR3, state)
+
+    def test_type1_q_with_beta_refused(self):
+        state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0], beta=100.0)
+        with pytest.raises(ConventionMismatch):
+            segment_forward(self.seg(PAIR3, SegmentType.TYPE1), PAIR3, state)
+
+    @pytest.mark.parametrize(
+        "seg_type, beta, alpha, convention",
+        [
+            (SegmentType.TYPE0, None, None, Convention.RHO),
+            (SegmentType.TYPE1, 100.0, None, Convention.Q),
+            (SegmentType.TYPE2, None, 0.3, Convention.RHO),
+            (SegmentType.TYPE3, 4.0, 0.3, Convention.Q),
+        ],
+    )
+    def test_inverse_roundtrips_forward(self, seg_type, beta, alpha, convention):
+        seg = self.seg(PAIR3, seg_type)
+        cc = ClarkeCoordinates(2.0, -0.5)
+        back = segment_inverse(seg, PAIR3, ExtendedClarkeState(cc, beta=beta, alpha=alpha))
+        assert back.convention is convention
+        kept_beta = beta if seg_type is SegmentType.TYPE3 else None
+        assert (back.beta, back.alpha) == (kept_beta, alpha)
+        again = segment_forward(seg, PAIR3, JointState(convention, back.values, alpha=alpha))
+        assert again.cc.rho_re == pytest.approx(2.0, abs=1e-12)
+        assert again.cc.rho_im == pytest.approx(-0.5, abs=1e-12)
+        if beta is not None:
+            assert again.beta == pytest.approx(beta, rel=1e-12)
+
+    def test_type3_inverse_adds_helical_offset(self):
+        # beta = 4, alpha*d = 3: offset 1, so q = 5 - [2, -1, -1].
+        state = ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), beta=4.0, alpha=0.3)
+        back = segment_inverse(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
+        np.testing.assert_allclose(back.values, [3.0, 6.0, 6.0], atol=1e-12)
+
+    def test_inverse_needs_beta(self):
+        state = ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), alpha=0.3)
+        with pytest.raises(ConventionMismatch):
+            segment_inverse(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
 
 
 class TestSignConvention:
