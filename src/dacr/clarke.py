@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArrangement, DimensionMismatch
+from .errors import DegenerateArrangement, DimensionMismatch, DomainError
 from .model import JointArrangement
 
 # A 2x2 Gram matrix with determinant below this (relative to its scale,
@@ -65,10 +65,15 @@ class DisplacementCheck:
 class ClarkePair:
     """Forward/inverse Clarke matrices for one joint arrangement.
 
+    Built by :func:`build_pair`, once per arrangement; every array is
+    read-only, so the pair can be shared by all callers.
+
     Attributes:
         arrangement: the joint locations the matrices were built from.
         mp: 2 x n forward matrix (displacements -> Clarke coordinates).
         mp_inv: n x 2 right inverse (Clarke coordinates -> displacements).
+        projector: n x n idempotent map ``mp_inv @ mp`` onto the
+            manifold, computed once with the pair and stored.
         filter_ok: True when mp annihilates constant vectors
             (``mp @ ones(n) ~ 0``). Holds for symmetric arrangements;
             length recovery and the q-side mappings rely on it.
@@ -77,16 +82,12 @@ class ClarkePair:
     arrangement: JointArrangement
     mp: np.ndarray
     mp_inv: np.ndarray
+    projector: np.ndarray
     filter_ok: bool
 
     @property
     def n(self) -> int:
         return self.arrangement.n
-
-    @property
-    def projector(self) -> np.ndarray:
-        """The n x n idempotent map ``mp_inv @ mp`` onto the manifold."""
-        return self.mp_inv @ self.mp
 
 
 def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -95,6 +96,10 @@ def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {out.shape}")
     if n is not None and out.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {out.shape[0]}, expected {n}")
+    # count_nonzero is a plain C call, about half the cost of .all()
+    # on the short vectors of a control loop.
+    if np.count_nonzero(np.isfinite(out)) != out.shape[0]:
+        raise DomainError(f"{name} must be finite")
     return out
 
 
@@ -126,15 +131,23 @@ def _pseudoinverse_mp(mp_inv: np.ndarray) -> np.ndarray:
 
 
 def build_pair(arr: JointArrangement) -> ClarkePair:
-    """Construct the (mp, mp_inv) matrix pair for an arrangement.
+    """The (mp, mp_inv) matrix pair of an arrangement, built on the first
+    call and returned as the same object on every later one.
 
     Symmetric arrangements with n >= 3 use the closed form
     (2/n) * mp_inv.T; every other arrangement, including the collinear
     symmetric pair psi = [0, pi], takes the pseudoinverse route.
 
+    The pair is memoised on the arrangement itself, which is frozen and
+    holds read-only arrays, so the memo can never go stale; it lives as
+    long as the arrangement. A failed build stores nothing.
+
     Raises:
         DegenerateArrangement: joints collinear through the axis.
     """
+    pair = getattr(arr, "_pair", None)
+    if pair is not None:
+        return pair
     mp_inv = build_mp_inv(arr)
     if arr.n > 2 and arr.is_symmetric():
         mp = (2.0 / arr.n) * mp_inv.T
@@ -142,9 +155,14 @@ def build_pair(arr: JointArrangement) -> ClarkePair:
         mp = _pseudoinverse_mp(mp_inv)
     filter_ok = bool(np.max(np.abs(mp @ np.ones(arr.n))) <= FILTER_TOL)
     mp = mp.copy()
-    mp.flags.writeable = False
-    mp_inv.flags.writeable = False
-    return ClarkePair(arrangement=arr, mp=mp, mp_inv=mp_inv, filter_ok=filter_ok)
+    projector = mp_inv @ mp
+    for a in (mp, mp_inv, projector):
+        a.flags.writeable = False
+    pair = ClarkePair(
+        arrangement=arr, mp=mp, mp_inv=mp_inv, projector=projector, filter_ok=filter_ok
+    )
+    object.__setattr__(arr, "_pair", pair)
+    return pair
 
 
 def forward(pair: ClarkePair, rho) -> ClarkeCoordinates:
@@ -156,6 +174,7 @@ def forward(pair: ClarkePair, rho) -> ClarkeCoordinates:
 
     Raises:
         DimensionMismatch: if rho does not have length n.
+        DomainError: if rho has a non-finite entry.
     """
     rho = _as_vector(rho, pair.n, "rho")
     cc = pair.mp @ rho
@@ -176,6 +195,7 @@ def project(pair: ClarkePair, rho) -> np.ndarray:
 
     Raises:
         DimensionMismatch: if rho does not have length n.
+        DomainError: if rho has a non-finite entry.
     """
     rho = _as_vector(rho, pair.n, "rho")
     return pair.projector @ rho
@@ -196,6 +216,7 @@ def validate_displacement(pair: ClarkePair, rho, tol: float = 1e-9) -> Displacem
 
     Raises:
         DimensionMismatch: if rho does not have length n.
+        DomainError: if rho has a non-finite entry.
     """
     rho = _as_vector(rho, pair.n, "rho")
     residual = float(np.linalg.norm(rho - pair.projector @ rho))

@@ -287,3 +287,38 @@ class TestIndependentInverse:
         cc = ChainClarke((ClarkeCoordinates(0.0, 0.0), ClarkeCoordinates(0.0, 0.0)))
         with pytest.raises(ConventionMismatch):
             independent_inverse(interdependent(), cc)
+
+
+class TestPairsBuiltOnce:
+    """A chain call reuses the pair of every arrangement it has seen, so
+    repeated calls on one robot skip the symmetry test (and the rest of
+    the build) after the first."""
+
+    @pytest.fixture
+    def symmetry_tests(self, monkeypatch):
+        calls = []
+        original = JointArrangement.is_symmetric
+
+        def counted(arr):
+            calls.append(arr)
+            return original(arr)
+
+        monkeypatch.setattr(JointArrangement, "is_symmetric", counted)
+        return calls
+
+    def test_independent_forward(self, symmetry_tests):
+        arrs = [make_symmetric_arrangement(3, 10.0), make_symmetric_arrangement(4, 10.0)]
+        rob = robot(arrs, (10.0, 20.0), Coupling.INDEPENDENT)
+        state = ChainState(Convention.RHO, (np.zeros(3), np.zeros(4)))
+        for _ in range(5):
+            independent_forward(rob, state)
+        assert len(symmetry_tests) == 2
+        assert {id(a) for a in symmetry_tests} == {id(a) for a in arrs}
+
+    def test_interdependent_inverse(self, symmetry_tests):
+        rob = robot([make_symmetric_arrangement(3, 10.0)] * 3, (1.0, 2.0, 3.0),
+                    Coupling.INTERDEPENDENT)
+        cc = ChainClarke(tuple(ClarkeCoordinates(1.0, 0.5) for _ in range(3)))
+        for _ in range(5):
+            interdependent_inverse(rob, cc)
+        assert len(symmetry_tests) == 1

@@ -11,6 +11,7 @@ from dacr import (
     ClarkeCoordinates,
     DegenerateArrangement,
     DimensionMismatch,
+    DomainError,
     JointArrangement,
     build_mp_inv,
     build_pair,
@@ -148,10 +149,37 @@ class TestBuildPair:
 
     def test_matrices_read_only(self):
         pair = build_pair(SYM3)
-        with pytest.raises(ValueError):
-            pair.mp[0, 0] = 9.0
-        with pytest.raises(ValueError):
-            pair.mp_inv[0, 0] = 9.0
+        for matrix in (pair.mp, pair.mp_inv, pair.projector):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 9.0
+
+
+class TestPairMemo:
+    def test_same_pair_on_every_call(self):
+        arr = arrangement([0.1, 1.9, 4.0])
+        assert build_pair(arr) is build_pair(arr)
+
+    def test_projector_is_stored(self):
+        pair = build_pair(arrangement([0.1, 1.9, 4.0]))
+        assert pair.projector is pair.projector
+        np.testing.assert_array_equal(pair.projector, pair.mp_inv @ pair.mp)
+
+    def test_degenerate_raises_on_every_call(self):
+        arr = arrangement([0.0, np.pi])
+        for _ in range(2):
+            with pytest.raises(DegenerateArrangement):
+                build_pair(arr)
+
+    @pytest.mark.parametrize("psi", [[0.1, 1.9, 4.0], [0.0, np.pi / 2, np.pi]])
+    def test_memoised_pair_matches_fresh_build_bit_for_bit(self, psi):
+        arr = arrangement(psi)
+        build_pair(arr)
+        memo = build_pair(arr)
+        fresh = build_pair(JointArrangement(psi=arr.psi.copy(), d=arr.d.copy()))
+        assert fresh is not memo
+        for field in ("mp", "mp_inv", "projector"):
+            assert getattr(memo, field).tobytes() == getattr(fresh, field).tobytes()
+        assert memo.filter_ok == fresh.filter_ok
 
 
 class TestForward:
@@ -172,6 +200,18 @@ class TestForward:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
             forward(build_pair(SYM3), [1.0, 2.0])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("op", [forward, project, validate_displacement])
+    def test_rejected(self, op, bad):
+        with pytest.raises(DomainError, match="finite"):
+            op(build_pair(SYM3), [bad, 0.0, 0.0])
+
+    def test_wrong_length_reported_first(self):
+        with pytest.raises(DimensionMismatch):
+            forward(build_pair(SYM3), [math.nan, 0.0])
 
 
 class TestInverse:

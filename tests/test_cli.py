@@ -449,6 +449,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["matrix", "--robot", robot])
         assert code == 2
 
+    @pytest.mark.parametrize("command, state_text", [
+        (["forward"], '{"convention": "rho", "values": [1e400, 0.0, 0.0]}'),
+        (["chain", "forward"], '{"convention": "rho", "segments": [{"values": [1e400, 0.0, 0.0]}]}'),
+    ], ids=["forward", "chain-forward"])
+    def test_code_1_overflowing_number(self, write, command, state_text):
+        # 1e400 is valid JSON but parses to inf, which must not come back
+        # out as the non-JSON token Infinity.
+        robot = write("robot.json", SYM3)
+        state = write("state.json", state_text)
+        run = subprocess.run([sys.executable, "-m", "dacr", *command, "--robot", robot,
+                              "--input", state], capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert "finite" in run.stderr
+        assert "Traceback" not in run.stderr
+
     def test_code_3_degenerate_arrangement(self, capsys, write):
         robot = write("robot.json", {
             "segments": [{"length": 1.0, "joints": {"explicit": [

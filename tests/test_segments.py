@@ -72,6 +72,10 @@ class TestRecoverLength:
         with pytest.raises(FilterPropertyUnavailable):
             recover_length(ASYM, [98.0, 101.0, 101.0])
 
+    def test_non_finite_refused(self):
+        with pytest.raises(DomainError, match="finite"):
+            recover_length(PAIR3, [98.0, np.inf, 101.0])
+
     def test_off_manifold_input_refused(self):
         # [1, -1, 1, -1] is orthogonal to both matrix columns and to the
         # constant direction, so no length choice can explain it.
