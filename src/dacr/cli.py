@@ -20,6 +20,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import IO, Callable
 
@@ -170,9 +171,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     _emit_json(
         args,
         {
-            "mp": io.matrix_rows(pair.mp),
-            "mp_inv": io.matrix_rows(pair.mp_inv),
-            "projector": io.matrix_rows(pair.projector),
+            "mp": pair.mp,
+            "mp_inv": pair.mp_inv,
+            "projector": pair.projector,
             "filter_ok": pair.filter_ok,
         },
     )
@@ -292,13 +293,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     arc = io.load_arc(args.input)
     polyline = sample_backbone(arc, args.points)
     if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "s": [float(x) for x in polyline.s],
-                "points": io.matrix_rows(polyline.points),
-            },
-        )
+        _emit_json(args, {"s": polyline.s, "points": polyline.points})
         return 0
     _emit(args, lambda fh: io.write_polyline_csv(polyline, fh))
     return 0
@@ -456,9 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite_flags(args: argparse.Namespace) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"--{name} must be a finite number, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite_flags(args)
         return args.handler(args)
     except _InvalidInput:
         return 1

@@ -1,9 +1,12 @@
 """Loading and emission of robot descriptions, states, and results.
 
-All numeric output goes through :func:`json.dumps`/``repr``, which emit
-the shortest decimal string that round-trips to the same IEEE-754
-double — lossless and stable across platforms, so emitted files can be
-compared byte-for-byte.
+Every number is emitted as its ``repr``, the shortest decimal string
+that round-trips to the same IEEE-754 double: lossless and stable
+across platforms, so emitted files can be compared byte-for-byte. JSON
+text is exactly what ``json.dumps(obj, indent=2)`` writes; arrays are
+formatted whole rather than one NumPy scalar at a time. NaN and
+infinity have no JSON form and are refused with
+:class:`~dacr.errors.DomainError`.
 
 Schema errors (wrong shape, missing keys, wrong JSON types, unknown
 enum values) raise :class:`~dacr.errors.SchemaError`; value-domain
@@ -15,6 +18,7 @@ violations from :func:`~dacr.model.validate_robot`.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Any
 
 import numpy as np
@@ -22,7 +26,7 @@ import numpy as np
 from .arc import ArcParameters, BackbonePolyline
 from .chain import ChainClarke, ChainState
 from .clarke import ClarkeCoordinates
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .model import (
     Coupling,
     JointArrangement,
@@ -46,7 +50,7 @@ def loads_strict(text: str) -> Any:
     """Parse JSON, rejecting the NaN/Infinity extensions."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers too long to convert
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 
@@ -70,7 +74,13 @@ def _get(mapping: dict, key: str, where: str) -> Any:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"{where} must be a finite number")
+    return number
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -269,10 +279,18 @@ def load_arc(path: str) -> ArcParameters:
 # ---------------------------------------------------------------------------
 # emission
 
+# Rows per block when writing CSV, so a large table is never held as
+# Python floats all at once.
+_CSV_BLOCK_ROWS = 4096
 
-def matrix_rows(matrix: np.ndarray) -> list[list[float]]:
-    """Row-major nested lists of Python floats."""
-    return [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]
+_NON_FINITE = "result holds a non-finite number, which JSON and CSV cannot carry"
+
+
+def _finite_array(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError(_NON_FINITE)
+    return a
 
 
 def clarke_state_dict(state: ExtendedClarkeState) -> dict:
@@ -287,7 +305,7 @@ def clarke_state_dict(state: ExtendedClarkeState) -> dict:
 def joint_state_dict(state: JointState) -> dict:
     out: dict[str, Any] = {
         "convention": state.convention.value,
-        "values": [float(x) for x in state.values],
+        "values": state.values.tolist(),
     }
     if state.beta is not None:
         out["beta"] = state.beta
@@ -303,7 +321,7 @@ def chain_clarke_dict(cc: ChainClarke) -> dict:
 def chain_state_dict(state: ChainState) -> dict:
     return {
         "convention": state.convention.value,
-        "segments": [{"values": [float(x) for x in v]} for v in state.per_segment],
+        "segments": [{"values": v.tolist()} for v in state.per_segment],
     }
 
 
@@ -327,21 +345,77 @@ def violations_dict(violations: list[Violation]) -> dict:
     }
 
 
+def _bracket(items: list[str], level: int, open_: str = "[", close: str = "]") -> str:
+    """Join encoded items the way ``json.dumps(indent=2)`` lays them out."""
+    if not items:
+        return open_ + close
+    inner = "\n" + "  " * (level + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+
+
+def _encode(obj: Any, level: int) -> str:
+    """``json.dumps(obj, indent=2)`` at nesting depth ``level``, with
+    float ndarrays formatted whole through ``%r`` templates."""
+    if isinstance(obj, np.ndarray):
+        a = _finite_array(obj)
+        if a.ndim == 1:
+            return _bracket(["%r"] * a.shape[0], level) % tuple(a.tolist())
+        if a.ndim == 2:
+            row = _bracket(["%r"] * a.shape[1], level + 1)
+            return _bracket([row] * a.shape[0], level) % tuple(a.ravel().tolist())
+        return _encode(a.tolist(), level)
+    if isinstance(obj, dict):
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            items.append(json.dumps(key) + ": " + _encode(value, level + 1))
+        return _bracket(items, level, "{", "}")
+    if isinstance(obj, (list, tuple)):
+        return _bracket([_encode(x, level + 1) for x in obj], level)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(_NON_FINITE)
+        return float.__repr__(obj)  # as json.dumps spells a finite float
+    return json.dumps(obj)
+
+
 def dump_json(obj: Any, stream: IO[str]) -> None:
-    """Write an object as two-space-indented JSON with a trailing newline."""
-    stream.write(json.dumps(obj, indent=2))
+    """Write an object as two-space-indented JSON with a trailing newline.
+
+    The text is byte for byte ``json.dumps(obj, indent=2)``; float
+    ndarrays (1-D or 2-D) may stand in for nested lists. Nothing is
+    written unless the whole object encodes.
+
+    Raises:
+        DomainError: if a number is NaN or infinite.
+    """
+    stream.write(_encode(obj, 0))
     stream.write("\n")
 
 
+def _write_csv(header: str, table: np.ndarray, stream: IO[str]) -> None:
+    table = _finite_array(table)
+    stream.write(header)
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        stream.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_matrix_csv(name: str, matrix: np.ndarray, stream: IO[str]) -> None:
-    """Write one matrix as a name line followed by comma-separated rows."""
-    stream.write(name + "\n")
-    for row in matrix_rows(matrix):
-        stream.write(",".join(repr(x) for x in row) + "\n")
+    """Write one matrix as a name line followed by comma-separated rows.
+
+    Raises:
+        DomainError: if an entry is NaN or infinite; nothing is written.
+    """
+    _write_csv(name + "\n", matrix, stream)
 
 
 def write_polyline_csv(polyline: BackbonePolyline, stream: IO[str]) -> None:
-    """Write a sampled backbone as ``s,x,y,z`` rows, full precision."""
-    stream.write("s,x,y,z\n")
-    for s, (x, y, z) in zip(polyline.s, polyline.points):
-        stream.write(f"{float(s)!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+    """Write a sampled backbone as ``s,x,y,z`` rows, full precision.
+
+    Raises:
+        DomainError: if a value is NaN or infinite; nothing is written.
+    """
+    _write_csv("s,x,y,z\n", np.column_stack((polyline.s, polyline.points)), stream)

@@ -64,10 +64,7 @@ class JointState:
         values = _as_vector(self.values, name="values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.beta is not None:
-            object.__setattr__(self, "beta", float(self.beta))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", float(self.alpha))
+        _set_joint_scalars(self)
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,20 @@ class ExtendedClarkeState:
     cc: ClarkeCoordinates
     beta: float | None = None
     alpha: float | None = None
+
+    def __post_init__(self) -> None:
+        _set_joint_scalars(self)
+
+
+def _set_joint_scalars(state: JointState | ExtendedClarkeState) -> None:
+    """Store beta and alpha as floats, refusing NaN and infinity."""
+    for name in ("beta", "alpha"):
+        value = getattr(state, name)
+        if value is not None:
+            value = float(value)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(state, name, value)
 
 
 def joint_lengths(l: float, rho) -> np.ndarray:
@@ -211,9 +222,12 @@ def type3_forward(pair: ClarkePair, q, beta: float, alpha: float) -> ExtendedCla
     out, so cc depends on q alone — never on alpha.
 
     Raises:
+        FilterPropertyUnavailable: if pair.filter_ok is false; without
+            the filter property the constant would leak into cc.
         DimensionMismatch: wrong q length.
     """
-    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=float(beta), alpha=float(alpha))
+    _require_filter(pair)
+    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta, alpha=alpha)
 
 
 def type3_forward_from_q(
@@ -278,9 +292,10 @@ def segment_forward(
     """Forward map of one segment, dispatched on its type and the state's convention.
 
     On rho, cc = mp @ rho and the length/twist joints pass through; the
-    length-joint types need beta. On q, cc = -mp @ q: type 0/II need the
-    filter property, type I recovers beta, and type III recovers beta
-    from twist-compensated q unless the state already carries it.
+    length-joint types need beta. On q, cc = -mp @ q, which needs the
+    filter property for every type: type I recovers beta, and type III
+    recovers beta from twist-compensated q unless the state already
+    carries it.
 
     Args:
         seg: the segment's description.

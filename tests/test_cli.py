@@ -465,6 +465,53 @@ class TestExitCodes:
         assert "finite" in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_code_1_overflowing_beta(self, write):
+        robot = write("robot.json", {"segments": [
+            {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
+        ]})
+        state = write("state.json", '{"convention": "rho", "values": [2, -1, -1], "beta": 1e400}')
+        run = subprocess.run([sys.executable, "-m", "dacr", "forward", "--robot", robot,
+                              "--input", state], capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert "beta must be a finite number" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["arc", "to-clarke", "--d", "10"],
+        ["sample", "--points", "3", "--format", "json"],
+        ["sample", "--points", "3", "--format", "csv"],
+    ], ids=["arc-to-clarke", "sample-json", "sample-csv"])
+    def test_code_1_non_finite_result(self, capsys, write, argv):
+        # Finite inputs whose result overflows: kappa * l is not finite.
+        arc = write("arc.json", {"kappa": 1e308, "theta": 0.0, "l": 1e10})
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, [*argv, "--input", arc])
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["arc", "to-clarke", "--input", "{arc}"], "d"),
+        (["arc", "from-clarke", "--input", "{cc}", "--d", "10"], "l"),
+        (["forward", "--robot", "{robot}", "--input", "{state}"], "alpha"),
+        (["inverse", "--robot", "{robot}", "--input", "{cc}"], "alpha"),
+        (["forward", "--robot", "{robot}", "--input", "{state}"], "tol"),
+        (["validate", "--robot", "{robot}", "--input", "{state}"], "tol"),
+    ], ids=["arc-d", "arc-l", "forward-alpha", "inverse-alpha", "forward-tol", "validate-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_code_1_non_finite_flag(self, capsys, write, argv, flag, value):
+        files = {
+            "arc": write("arc.json", {"kappa": 0.01, "l": 100.0}),
+            "cc": write("cc.json", {"cc": [2.0, 0.0]}),
+            "robot": write("robot.json", SYM3),
+            "state": write("state.json", {"convention": "rho", "values": [2.0, -1.0, -1.0]}),
+        }
+        code, out, err = run(capsys, [*(a.format(**files) for a in argv), f"--{flag}={value}"])
+        assert code == 1
+        assert out == ""
+        assert f"--{flag} must be a finite number" in err
+
     def test_code_3_degenerate_arrangement(self, capsys, write):
         robot = write("robot.json", {
             "segments": [{"length": 1.0, "joints": {"explicit": [
@@ -505,6 +552,18 @@ class TestExitCodes:
         state = write("state.json", {"convention": "q", "values": [98.0, 101.0, 101.0]})
         code, _, err = run(capsys, ["forward", "--robot", robot, "--input", state])
         assert code == 5
+        assert "error:" in err
+
+    def test_code_5_type3_q_with_beta(self, capsys, write):
+        robot = json.loads(json.dumps(HALF_PLANE))
+        robot["segments"][0]["type"] = "type3"
+        robot = write("robot.json", robot)
+        state = write("state.json", {
+            "convention": "q", "values": [99.0, 100.0, 101.0], "beta": 100.0, "alpha": 0.3,
+        })
+        code, out, err = run(capsys, ["forward", "--robot", robot, "--input", state])
+        assert code == 5
+        assert out == ""
         assert "error:" in err
 
     def test_code_5_recover_length(self, capsys, write):

@@ -5,9 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dacr import (
     ArcParameters,
+    BackbonePolyline,
     ChainClarke,
     ChainState,
     ClarkeCoordinates,
@@ -32,7 +36,6 @@ from dacr.io import (
     load_robot,
     load_state,
     loads_strict,
-    matrix_rows,
     parse_arc,
     parse_chain_clarke,
     parse_chain_state,
@@ -65,6 +68,22 @@ class TestLoadsStrict:
     def test_non_finite_rejected(self, text):
         with pytest.raises(SchemaError):
             loads_strict(text)
+
+    def test_overlong_integer_is_schema_error(self):
+        with pytest.raises(SchemaError):
+            loads_strict("1" + "0" * 5000)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400])
+    def test_overflow_is_domain_error(self, text):
+        with pytest.raises(DomainError, match="beta must be a finite number"):
+            parse_joint_state(loads_strict(
+                '{"convention": "rho", "values": [2, -1, -1], "beta": %s}' % text))
+        with pytest.raises(DomainError, match=r"values\[1\] must be a finite number"):
+            parse_joint_state(loads_strict('{"convention": "rho", "values": [2, %s, -1]}' % text))
+        with pytest.raises(DomainError, match="l must be a finite number"):
+            parse_arc(loads_strict('{"kappa": 0.1, "l": %s}' % text))
 
 
 class TestParseRobot:
@@ -259,9 +278,11 @@ class TestRobotFile:
 
 class TestEmission:
     def test_matrix_rows_are_plain_floats(self):
-        rows = matrix_rows(np.array([[1, 2], [3, 4]]))
-        assert rows == [[1.0, 2.0], [3.0, 4.0]]
-        assert all(type(x) is float for row in rows for x in row)
+        # An integer array is emitted as floats, never as JSON integers.
+        buf = io.StringIO()
+        dump_json({"m": np.array([[1, 2], [3, 4]])}, buf)
+        assert buf.getvalue() == json.dumps({"m": [[1.0, 2.0], [3.0, 4.0]]}, indent=2) + "\n"
+        assert "1.0" in buf.getvalue()
 
     def test_clarke_state_dict_drops_missing_extensions(self):
         assert clarke_state_dict(ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0))) == {
@@ -321,6 +342,132 @@ class TestEmission:
         buf = io.StringIO()
         dump_json({"values": values}, buf)
         assert loads_strict(buf.getvalue())["values"] == values
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308]
+)
+TEXT = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "\u00e9\u4e2d\U0001f600"])
+
+
+@st.composite
+def float_arrays(draw):
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(0,), (k,), (k, 1), (1, k), (0, k), (k, 0), (k, 3)]))
+    return draw(arrays(np.float64, shape, elements=FLOATS))
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | TEXT | float_arrays(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+def as_lists(obj):
+    """The same document with every ndarray replaced by nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(x) for x in obj]
+    return obj
+
+
+class TestDumpJsonIdentity:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(obj=JSON_TREES)
+    def test_matches_json_dumps(self, obj):
+        buf = io.StringIO()
+        dump_json(obj, buf)
+        assert buf.getvalue() == json.dumps(as_lists(obj), indent=2) + "\n"
+
+    @pytest.mark.parametrize("shape, text", [
+        ((0,), "[]"),
+        ((0, 2), "[]"),
+        ((2, 0), "[\n  [],\n  []\n]"),
+    ])
+    def test_empty_shapes(self, shape, text):
+        buf = io.StringIO()
+        dump_json(np.zeros(shape), buf)
+        assert buf.getvalue() == text + "\n"
+
+    def test_higher_rank_array(self):
+        a = np.arange(8.0).reshape(2, 2, 2)
+        buf = io.StringIO()
+        dump_json({"a": a}, buf)
+        assert buf.getvalue() == json.dumps({"a": a.tolist()}, indent=2) + "\n"
+
+    def test_non_string_key_refused(self):
+        with pytest.raises(TypeError):
+            dump_json({1: 2.0}, io.StringIO())
+
+    @pytest.mark.parametrize("obj", [
+        {"beta": float("inf")},
+        {"cc": [float("-inf"), 0.0]},
+        {"x": float("nan")},
+        {"ok": [1.0], "points": np.array([[0.0, 1.0], [np.nan, 2.0]])},
+        np.array([1.0, np.inf]),
+    ])
+    def test_non_finite_refused_before_writing(self, obj):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="non-finite"):
+            dump_json(obj, buf)
+        assert buf.getvalue() == ""
+
+
+def reference_matrix_csv(name, matrix):
+    """The per-row writer that preceded the block writer."""
+    rows = [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]
+    return name + "\n" + "".join(",".join(repr(x) for x in row) + "\n" for row in rows)
+
+
+def reference_polyline_csv(poly):
+    """The per-row writer that preceded the block writer."""
+    return "s,x,y,z\n" + "".join(
+        f"{float(s)!r},{float(x)!r},{float(y)!r},{float(z)!r}\n"
+        for s, (x, y, z) in zip(poly.s, poly.points)
+    )
+
+
+class TestCsvIdentity:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(matrix=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=FLOATS))
+    def test_matrix_matches_per_row_writer(self, matrix):
+        buf = io.StringIO()
+        write_matrix_csv("mp", matrix, buf)
+        assert buf.getvalue() == reference_matrix_csv("mp", matrix)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(table=arrays(np.float64, st.tuples(st.integers(0, 8), st.just(4)), elements=FLOATS))
+    def test_polyline_matches_per_row_writer(self, table):
+        poly = BackbonePolyline(s=table[:, 0], points=table[:, 1:])
+        buf = io.StringIO()
+        write_polyline_csv(poly, buf)
+        assert buf.getvalue() == reference_polyline_csv(poly)
+
+    def test_many_blocks(self):
+        poly = sample_backbone(ArcParameters(kappa=0.013, theta=0.9, l=42.0), points=10_001)
+        buf = io.StringIO()
+        write_polyline_csv(poly, buf)
+        assert buf.getvalue() == reference_polyline_csv(poly)
+
+    def test_integer_matrix_prints_floats(self):
+        buf = io.StringIO()
+        write_matrix_csv("m", np.array([[1, 2], [3, 4]]), buf)
+        assert buf.getvalue() == "m\n1.0,2.0\n3.0,4.0\n"
+
+    def test_non_finite_refused_before_writing(self):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="non-finite"):
+            write_matrix_csv("mp", np.array([[1.0, np.inf]]), buf)
+        poly = BackbonePolyline(s=[0.0, 1.0], points=[[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+        with pytest.raises(DomainError, match="non-finite"):
+            write_polyline_csv(poly, buf)
+        assert buf.getvalue() == ""
 
 
 class TestCsvWriters:

@@ -61,6 +61,20 @@ class TestJointLengths:
         np.testing.assert_array_equal(joint_lengths(l, rho), expected)
 
 
+class TestJointScalars:
+    @pytest.mark.parametrize("name", ["beta", "alpha"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, float("1e400")])
+    def test_non_finite_refused(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            JointState(Convention.RHO, [2.0, -1.0, -1.0], **{name: value})
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), **{name: value})
+
+    def test_stored_as_float(self):
+        state = ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), beta=4, alpha=np.float64(0.5))
+        assert (type(state.beta), type(state.alpha)) == (float, float)
+
+
 class TestRecoverLength:
     def test_worked_example(self):
         assert recover_length(PAIR3, [98.0, 101.0, 101.0]) == pytest.approx(100.0, rel=1e-12)
@@ -373,6 +387,17 @@ class TestSegmentDispatch:
         state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0])
         with pytest.raises(FilterPropertyUnavailable):
             segment_forward(self.seg(ASYM, SegmentType.TYPE0), ASYM, state)
+
+    @pytest.mark.parametrize("length", [100.0, 200.0])
+    def test_type3_q_with_beta_needs_filter_property(self, length):
+        # Without the filter property -mp @ q would carry the length into
+        # cc: on the half-plane arrangement rho_im came out as -length.
+        q = joint_lengths(length, [1.0, 0.0, -1.0])
+        state = JointState(convention=Convention.Q, values=q, beta=length, alpha=0.3)
+        with pytest.raises(FilterPropertyUnavailable):
+            segment_forward(self.seg(ASYM, SegmentType.TYPE3), ASYM, state)
+        with pytest.raises(FilterPropertyUnavailable):
+            type3_forward(ASYM, q, beta=length, alpha=0.3)
 
     def test_type3_q_without_beta_recovers_it(self):
         state = JointState(convention=Convention.Q, values=[3.0, 6.0, 6.0], alpha=0.3)
