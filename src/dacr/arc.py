@@ -31,6 +31,9 @@ from .model import _normalize_angles
 class ArcParameters:
     """Constant-curvature description of one segment.
 
+    Every parameter, and the bending angle phi = l * kappa, must be
+    finite.
+
     Attributes:
         kappa: curvature, 1/length units, >= 0 (bending direction is
             carried by theta, not by a sign on kappa).
@@ -47,13 +50,17 @@ class ArcParameters:
     theta_defined: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.kappa >= 0.0):
-            raise DomainError(f"curvature must be non-negative, got {self.kappa}")
-        if not (self.l > 0.0):
-            raise DomainError(f"segment length must be positive, got {self.l}")
-        object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "theta", _normalize_angles(float(self.theta)))
-        object.__setattr__(self, "l", float(self.l))
+        kappa, theta, l = float(self.kappa), float(self.theta), float(self.l)
+        for name, value in (("kappa", kappa), ("theta", theta), ("l", l), ("phi", l * kappa)):
+            if not math.isfinite(value):
+                raise DomainError(f"arc parameter {name} is non-finite: {value}")
+        if not (kappa >= 0.0):
+            raise DomainError(f"curvature must be non-negative, got {kappa}")
+        if not (l > 0.0):
+            raise DomainError(f"segment length must be positive, got {l}")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "theta", _normalize_angles(theta))
+        object.__setattr__(self, "l", l)
         object.__setattr__(self, "theta_defined", bool(self.theta_defined))
 
     @property

@@ -166,7 +166,11 @@ def interdependent_accumulate(
         ConventionMismatch, ArrangementMismatch, FilterPropertyUnavailable,
         DimensionMismatch: see :func:`_shared_pair`.
     """
-    pair = _shared_pair(robot)
+    return _accumulate(_shared_pair(robot), robot, rho_per_seg, l_per_seg)
+
+
+def _accumulate(pair: ClarkePair, robot: RobotSpec, rho_per_seg, l_per_seg) -> ChainState:
+    """:func:`interdependent_accumulate` on an already checked shared pair."""
     rho_per_seg = [_as_vector(r, pair.n, f"segment {j} rho") for j, r in enumerate(rho_per_seg)]
     _check_segment_count(robot, len(rho_per_seg))
     if l_per_seg is None:
@@ -227,5 +231,4 @@ def interdependent_inverse(
         DimensionMismatch: see :func:`interdependent_accumulate`.
     """
     pair = _shared_pair(robot)
-    rho_per_seg = [pair.mp_inv @ c.as_array() for c in cc.per_segment]
-    return interdependent_accumulate(robot, rho_per_seg, l_per_seg)
+    return _accumulate(pair, robot, [inverse(pair, c) for c in cc.per_segment], l_per_seg)

@@ -34,6 +34,9 @@ GRAM_DEGENERACY_REL = 1e-12
 # annihilated by the forward transform.
 FILTER_TOL = 1e-9
 
+# Default residual bound of :func:`validate_displacement`, length units.
+DISPLACEMENT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ClarkeCoordinates:
@@ -201,7 +204,9 @@ def project(pair: ClarkePair, rho) -> np.ndarray:
     return pair.projector @ rho
 
 
-def validate_displacement(pair: ClarkePair, rho, tol: float = 1e-9) -> DisplacementCheck:
+def validate_displacement(
+    pair: ClarkePair, rho, tol: float = DISPLACEMENT_TOL
+) -> DisplacementCheck:
     """Check that a displacement vector lies on the segment's manifold.
 
     The residual is the Euclidean distance between ``rho`` and its

@@ -22,20 +22,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import IO, Callable
+from dataclasses import asdict, replace
+from io import StringIO
+from typing import IO, Any, Callable
 
 from . import io
 from .arc import arc_to_clarke, clarke_to_arc, sample_backbone
 from .chain import (
     ChainClarke,
     ChainState,
+    _check_segment_count,
     independent_forward,
     independent_inverse,
     interdependent_accumulate,
     interdependent_forward,
     interdependent_inverse,
 )
-from .clarke import ClarkePair, build_pair, project, validate_displacement
+from .clarke import DISPLACEMENT_TOL, ClarkePair, build_pair, project, validate_displacement
 from .errors import (
     ArrangementMismatch,
     ConventionMismatch,
@@ -51,14 +54,11 @@ from .errors import (
 from .model import Coupling, RobotSpec, SegmentSpec, Violation, validate_robot
 from .segments import (
     Convention,
-    ExtendedClarkeState,
     JointState,
     recover_length,
     segment_forward,
     segment_inverse,
 )
-
-DEFAULT_VALIDATE_TOL = 1e-9
 
 # Most-derived classes first; the first match decides the exit code.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
@@ -73,6 +73,10 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (DomainError, 1),
 )
 
+# What every handler returns: its result, and the exit code. The result
+# is JSON-able data, or a CSV writer that takes the output stream.
+_Result = tuple[Any, int]
+
 
 class _InvalidInput(Exception):
     """Well-formed input that failed validation; details already on stderr."""
@@ -82,16 +86,21 @@ class _InvalidInput(Exception):
 # shared plumbing
 
 
-def _emit(args: argparse.Namespace, write: Callable[[IO[str]], None]) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write(fh)
-    else:
+def _emit(result: Any, out: str | None) -> None:
+    """Write a command's result to stdout or to the --out file.
+
+    Stdout is written as the result renders, so a large CSV goes out
+    block by block. The --out file is opened only after the whole text
+    has rendered, so a command that fails leaves it as it was.
+    """
+    write = result if callable(result) else lambda fh: io.dump_json(result, fh)
+    if out is None:
         write(sys.stdout)
-
-
-def _emit_json(args: argparse.Namespace, obj) -> None:
-    _emit(args, lambda fh: io.dump_json(obj, fh))
+        return
+    text = StringIO()
+    write(text)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text.getvalue())
 
 
 def _print_violations(violations: list[Violation]) -> None:
@@ -119,21 +128,26 @@ def _segment_pair(robot: RobotSpec, index: int) -> tuple[SegmentSpec, ClarkePair
     return seg, build_pair(seg.arrangement)
 
 
-def _with_alpha_override(state: JointState, args: argparse.Namespace) -> JointState:
-    if getattr(args, "alpha", None) is None:
-        return state
-    return JointState(
-        convention=state.convention,
-        values=state.values,
-        beta=state.beta,
-        alpha=args.alpha,
-    )
+def _single_state(
+    args: argparse.Namespace, convention: Convention, what: str
+) -> tuple[ClarkePair, JointState]:
+    """The selected segment's pair and a single-segment state in one convention."""
+    robot = _load_robot(args)
+    state = io.load_state(args.input)
+    if isinstance(state, ChainState) or state.convention is not convention:
+        raise ConventionMismatch(f"{what} applies to a single {convention.value} state")
+    return _segment_pair(robot, args.segment)[1], state
 
 
-def _require_chain(state) -> ChainState:
-    if not isinstance(state, ChainState):
+def _chain_input(
+    args: argparse.Namespace, load: Callable[[str], Any]
+) -> tuple[RobotSpec, ChainState | ChainClarke]:
+    """The robot and a chain-shaped state, as the chain commands need."""
+    robot = _load_robot(args)
+    state = load(args.input)
+    if not isinstance(state, (ChainState, ChainClarke)):
         raise SchemaError("chain commands need a chain-shaped state with 'segments'")
-    return state
+    return robot, state
 
 
 # ---------------------------------------------------------------------------
@@ -156,173 +170,113 @@ def _chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
 # command handlers
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    robot = _load_robot(args)
-    _, pair = _segment_pair(robot, args.segment)
-    if args.format == "csv":
-        def write(fh: IO[str]) -> None:
-            io.write_matrix_csv("mp", pair.mp, fh)
-            io.write_matrix_csv("mp_inv", pair.mp_inv, fh)
-            io.write_matrix_csv("projector", pair.projector, fh)
-            fh.write(f"filter_ok\n{'true' if pair.filter_ok else 'false'}\n")
-
-        _emit(args, write)
-        return 0
-    _emit_json(
-        args,
-        {
+def _cmd_matrix(args: argparse.Namespace) -> _Result:
+    _, pair = _segment_pair(_load_robot(args), args.segment)
+    if args.format == "json":
+        return {
             "mp": pair.mp,
             "mp_inv": pair.mp_inv,
             "projector": pair.projector,
             "filter_ok": pair.filter_ok,
-        },
-    )
-    return 0
+        }, 0
+
+    def write(fh: IO[str]) -> None:
+        io.write_matrix_csv("mp", pair.mp, fh)
+        io.write_matrix_csv("mp_inv", pair.mp_inv, fh)
+        io.write_matrix_csv("projector", pair.projector, fh)
+        fh.write(f"filter_ok\n{'true' if pair.filter_ok else 'false'}\n")
+
+    return write, 0
 
 
-def _cmd_forward(args: argparse.Namespace) -> int:
+def _cmd_forward(args: argparse.Namespace) -> _Result:
     robot = _load_robot(args)
     state = io.load_state(args.input)
     if isinstance(state, ChainState):
-        _emit_json(args, io.chain_clarke_dict(_chain_forward(robot, state)))
-        return 0
+        return io.chain_clarke_dict(_chain_forward(robot, state)), 0
     seg, pair = _segment_pair(robot, args.segment)
-    state = _with_alpha_override(state, args)
-    result = segment_forward(seg, pair, state, args.tol)
-    _emit_json(args, io.clarke_state_dict(result))
-    return 0
+    if args.alpha is not None:
+        state = replace(state, alpha=args.alpha)
+    return io.clarke_state_dict(segment_forward(seg, pair, state, args.tol)), 0
 
 
-def _cmd_inverse(args: argparse.Namespace) -> int:
+def _cmd_inverse(args: argparse.Namespace) -> _Result:
     robot = _load_robot(args)
     state = io.load_clarke(args.input)
     if isinstance(state, ChainClarke):
-        _emit_json(args, io.chain_state_dict(_chain_inverse(robot, state)))
-        return 0
+        return io.chain_state_dict(_chain_inverse(robot, state)), 0
     seg, pair = _segment_pair(robot, args.segment)
     if args.alpha is not None:
-        state = ExtendedClarkeState(cc=state.cc, beta=state.beta, alpha=args.alpha)
-    _emit_json(args, io.joint_state_dict(segment_inverse(seg, pair, state)))
-    return 0
+        state = replace(state, alpha=args.alpha)
+    return io.joint_state_dict(segment_inverse(seg, pair, state)), 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    robot = io.load_robot(args.robot)
-    violations = validate_robot(robot)
+def _cmd_validate(args: argparse.Namespace) -> _Result:
     if args.input is None:
-        _emit_json(args, io.violations_dict(violations))
-        return 0 if not violations else 1
-    if violations:
-        _print_violations(violations)
-        return 1
-    tol = args.tol if args.tol is not None else DEFAULT_VALIDATE_TOL
+        violations = validate_robot(io.load_robot(args.robot))
+        return io.violations_dict(violations), 1 if violations else 0
+    robot = _load_robot(args)
     state = io.load_state(args.input)
-    if isinstance(state, ChainState):
-        if state.convention is not Convention.RHO:
-            raise ConventionMismatch("displacement validation applies to rho states")
-        if len(state.per_segment) != len(robot.segments):
-            raise DimensionMismatch(
-                f"state has {len(state.per_segment)} segments, "
-                f"robot has {len(robot.segments)}"
-            )
-        checks = [
-            validate_displacement(build_pair(seg.arrangement), values, tol)
-            for seg, values in zip(robot.segments, state.per_segment)
-        ]
-        _emit_json(
-            args,
-            {
-                "valid": all(c.valid for c in checks),
-                "segments": [
-                    {"valid": c.valid, "residual_norm": c.residual_norm} for c in checks
-                ],
-            },
-        )
-        return 0 if all(c.valid for c in checks) else 1
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("displacement validation applies to rho states")
+    if isinstance(state, ChainState):
+        _check_segment_count(robot, len(state.per_segment))
+        checks = [
+            validate_displacement(build_pair(seg.arrangement), values, args.tol)
+            for seg, values in zip(robot.segments, state.per_segment)
+        ]
+        valid = all(c.valid for c in checks)
+        return {"valid": valid, "segments": [asdict(c) for c in checks]}, 0 if valid else 1
     _, pair = _segment_pair(robot, args.segment)
-    check = validate_displacement(pair, state.values, tol)
-    _emit_json(args, {"valid": check.valid, "residual_norm": check.residual_norm})
-    return 0 if check.valid else 1
+    check = validate_displacement(pair, state.values, args.tol)
+    return asdict(check), 0 if check.valid else 1
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
-    robot = _load_robot(args)
-    state = io.load_state(args.input)
-    if isinstance(state, ChainState) or state.convention is not Convention.RHO:
-        raise ConventionMismatch("projection applies to a single rho state")
-    _, pair = _segment_pair(robot, args.segment)
-    projected = project(pair, state.values)
-    _emit_json(
-        args,
-        io.joint_state_dict(
-            JointState(convention=Convention.RHO, values=projected)
-        ),
-    )
-    return 0
+def _cmd_project(args: argparse.Namespace) -> _Result:
+    pair, state = _single_state(args, Convention.RHO, "projection")
+    projected = JointState(convention=Convention.RHO, values=project(pair, state.values))
+    return io.joint_state_dict(projected), 0
 
 
-def _cmd_recover_length(args: argparse.Namespace) -> int:
-    robot = _load_robot(args)
-    state = io.load_state(args.input)
-    if isinstance(state, ChainState) or state.convention is not Convention.Q:
-        raise ConventionMismatch("length recovery applies to a single q state")
-    _, pair = _segment_pair(robot, args.segment)
-    _emit_json(args, {"length": recover_length(pair, state.values, tol=args.tol)})
-    return 0
+def _cmd_recover_length(args: argparse.Namespace) -> _Result:
+    pair, state = _single_state(args, Convention.Q, "length recovery")
+    return {"length": recover_length(pair, state.values, tol=args.tol)}, 0
 
 
-def _cmd_arc_to_clarke(args: argparse.Namespace) -> int:
-    arc = io.load_arc(args.input)
-    cc = arc_to_clarke(arc, args.d)
-    _emit_json(args, {"cc": [cc.rho_re, cc.rho_im]})
-    return 0
+def _cmd_arc_to_clarke(args: argparse.Namespace) -> _Result:
+    cc = arc_to_clarke(io.load_arc(args.input), args.d)
+    return {"cc": [cc.rho_re, cc.rho_im]}, 0
 
 
-def _cmd_arc_from_clarke(args: argparse.Namespace) -> int:
+def _cmd_arc_from_clarke(args: argparse.Namespace) -> _Result:
     state = io.load_clarke(args.input)
     if isinstance(state, ChainClarke):
         raise SchemaError("arc from-clarke takes a single Clarke state, not a chain")
-    arc = clarke_to_arc(state.cc, args.d, args.l)
-    _emit_json(args, io.arc_dict(arc))
-    return 0
+    return io.arc_dict(clarke_to_arc(state.cc, args.d, args.l)), 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    arc = io.load_arc(args.input)
-    polyline = sample_backbone(arc, args.points)
+def _cmd_sample(args: argparse.Namespace) -> _Result:
+    polyline = sample_backbone(io.load_arc(args.input), args.points)
     if args.format == "json":
-        _emit_json(args, {"s": polyline.s, "points": polyline.points})
-        return 0
-    _emit(args, lambda fh: io.write_polyline_csv(polyline, fh))
-    return 0
+        return {"s": polyline.s, "points": polyline.points}, 0
+    return (lambda fh: io.write_polyline_csv(polyline, fh)), 0
 
 
-def _cmd_chain_forward(args: argparse.Namespace) -> int:
-    robot = _load_robot(args)
-    state = _require_chain(io.load_state(args.input))
-    _emit_json(args, io.chain_clarke_dict(_chain_forward(robot, state)))
-    return 0
+def _cmd_chain_forward(args: argparse.Namespace) -> _Result:
+    robot, state = _chain_input(args, io.load_state)
+    return io.chain_clarke_dict(_chain_forward(robot, state)), 0
 
 
-def _cmd_chain_inverse(args: argparse.Namespace) -> int:
-    robot = _load_robot(args)
-    state = io.load_clarke(args.input)
-    if not isinstance(state, ChainClarke):
-        raise SchemaError("chain inverse needs a chain-shaped state with 'segments'")
-    _emit_json(args, io.chain_state_dict(_chain_inverse(robot, state)))
-    return 0
+def _cmd_chain_inverse(args: argparse.Namespace) -> _Result:
+    robot, state = _chain_input(args, io.load_clarke)
+    return io.chain_state_dict(_chain_inverse(robot, state)), 0
 
 
-def _cmd_chain_accumulate(args: argparse.Namespace) -> int:
-    robot = _load_robot(args)
-    state = _require_chain(io.load_state(args.input))
+def _cmd_chain_accumulate(args: argparse.Namespace) -> _Result:
+    robot, state = _chain_input(args, io.load_state)
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("accumulation starts from per-segment rho vectors")
-    result = interdependent_accumulate(robot, state.per_segment)
-    _emit_json(args, io.chain_state_dict(result))
-    return 0
+    return io.chain_state_dict(interdependent_accumulate(robot, state.per_segment)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +299,8 @@ def _add_input(sp: argparse.ArgumentParser, help_text: str) -> None:
     sp.add_argument("--input", required=True, help=help_text)
 
 
-def _add_tol(sp: argparse.ArgumentParser, help_text: str) -> None:
-    sp.add_argument("--tol", type=float, default=None, help=help_text)
+def _add_tol(sp: argparse.ArgumentParser, help_text: str, default: float | None = None) -> None:
+    sp.add_argument("--tol", type=float, default=default, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_robot(p)
     p.add_argument("--input", help="optional joint-state or chain-state JSON file")
     _add_segment(p)
-    _add_tol(p, f"residual tolerance (default {DEFAULT_VALIDATE_TOL})")
+    _add_tol(p, f"residual tolerance (default {DISPLACEMENT_TOL})", DISPLACEMENT_TOL)
     _add_out(p)
     p.set_defaults(handler=_cmd_validate)
 
@@ -461,7 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_finite_flags(args)
-        return args.handler(args)
+        result, code = args.handler(args)
+        _emit(result, args.out)
+        return code
     except _InvalidInput:
         return 1
     except DacrError as exc:

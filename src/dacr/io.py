@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 import numpy as np
 
@@ -89,6 +89,30 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
+def _as_enum(enum: type, value: Any, what: str):
+    try:
+        return enum(value)
+    except ValueError:
+        raise SchemaError(f"unknown {what} {value!r}") from None
+
+
+def _joint_scalars(data: dict) -> dict[str, float | None]:
+    """The optional ``beta`` and ``alpha`` of a state; null counts as absent."""
+    return {
+        name: None if data.get(name) is None else _as_number(data[name], name)
+        for name in ("beta", "alpha")
+    }
+
+
+def _segments(data: dict, where: str) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, entry)`` for each object in the ``segments`` array."""
+    segments = _get(data, "segments", where)
+    if not isinstance(segments, list):
+        raise SchemaError("'segments' must be an array")
+    for i, seg in enumerate(segments):
+        yield f"segments[{i}]", _as_mapping(seg, f"segments[{i}]")
+
+
 def _as_number_list(value: Any, where: str) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(f"{where} must be an array of numbers")
@@ -134,23 +158,10 @@ def parse_robot(data: Any) -> RobotSpec:
             n < 3).
     """
     data = _as_mapping(data, "robot description")
-    coupling_raw = data.get("coupling", "independent")
-    try:
-        coupling = Coupling(coupling_raw)
-    except ValueError:
-        raise SchemaError(f"unknown coupling {coupling_raw!r}") from None
-    segments_raw = _get(data, "segments", "robot description")
-    if not isinstance(segments_raw, list):
-        raise SchemaError("'segments' must be an array")
+    coupling = _as_enum(Coupling, data.get("coupling", "independent"), "coupling")
     segments = []
-    for j, seg in enumerate(segments_raw):
-        where = f"segments[{j}]"
-        seg = _as_mapping(seg, where)
-        type_raw = seg.get("type", "type0")
-        try:
-            seg_type = SegmentType(type_raw)
-        except ValueError:
-            raise SchemaError(f"{where} has unknown type {type_raw!r}") from None
+    for where, seg in _segments(data, "robot description"):
+        seg_type = _as_enum(SegmentType, seg.get("type", "type0"), f"{where}.type")
         length = _as_number(_get(seg, "length", where), f"{where}.length")
         arrangement = _parse_arrangement(_get(seg, "joints", where), f"{where}.joints")
         segments.append(SegmentSpec(arrangement=arrangement, length=length, seg_type=seg_type))
@@ -169,15 +180,9 @@ def parse_joint_state(data: Any) -> JointState:
     "beta": <num, optional>, "alpha": <num, optional>}``.
     """
     data = _as_mapping(data, "joint state")
-    convention_raw = _get(data, "convention", "joint state")
-    try:
-        convention = Convention(convention_raw)
-    except ValueError:
-        raise SchemaError(f"unknown convention {convention_raw!r}") from None
+    convention = _as_enum(Convention, _get(data, "convention", "joint state"), "convention")
     values = _as_number_list(_get(data, "values", "joint state"), "values")
-    beta = None if data.get("beta") is None else _as_number(data["beta"], "beta")
-    alpha = None if data.get("alpha") is None else _as_number(data["alpha"], "alpha")
-    return JointState(convention=convention, values=np.array(values), beta=beta, alpha=alpha)
+    return JointState(convention=convention, values=np.array(values), **_joint_scalars(data))
 
 
 def parse_chain_state(data: Any) -> ChainState:
@@ -187,19 +192,12 @@ def parse_chain_state(data: Any) -> ChainState:
     "segments": [{"values": [...]}, ...]}``.
     """
     data = _as_mapping(data, "chain state")
-    convention_raw = _get(data, "convention", "chain state")
-    try:
-        convention = Convention(convention_raw)
-    except ValueError:
-        raise SchemaError(f"unknown convention {convention_raw!r}") from None
-    segments_raw = _get(data, "segments", "chain state")
-    if not isinstance(segments_raw, list):
-        raise SchemaError("'segments' must be an array")
-    vectors = []
-    for i, seg in enumerate(segments_raw):
-        seg = _as_mapping(seg, f"segments[{i}]")
-        vectors.append(np.array(_as_number_list(_get(seg, "values", f"segments[{i}]"), f"segments[{i}].values")))
-    return ChainState(convention=convention, per_segment=tuple(vectors))
+    convention = _as_enum(Convention, _get(data, "convention", "chain state"), "convention")
+    vectors = tuple(
+        np.array(_as_number_list(_get(seg, "values", where), f"{where}.values"))
+        for where, seg in _segments(data, "chain state")
+    )
+    return ChainState(convention=convention, per_segment=vectors)
 
 
 def load_state(path: str) -> JointState | ChainState:
@@ -229,9 +227,7 @@ def parse_clarke_state(data: Any) -> ExtendedClarkeState:
     """
     data = _as_mapping(data, "Clarke state")
     cc = _parse_cc(_get(data, "cc", "Clarke state"), "cc")
-    beta = None if data.get("beta") is None else _as_number(data["beta"], "beta")
-    alpha = None if data.get("alpha") is None else _as_number(data["alpha"], "alpha")
-    return ExtendedClarkeState(cc=cc, beta=beta, alpha=alpha)
+    return ExtendedClarkeState(cc=cc, **_joint_scalars(data))
 
 
 def parse_chain_clarke(data: Any) -> ChainClarke:
@@ -240,14 +236,11 @@ def parse_chain_clarke(data: Any) -> ChainClarke:
     Expected shape: ``{"segments": [{"cc": [<re>, <im>]}, ...]}``.
     """
     data = _as_mapping(data, "chain Clarke state")
-    segments_raw = _get(data, "segments", "chain Clarke state")
-    if not isinstance(segments_raw, list):
-        raise SchemaError("'segments' must be an array")
-    ccs = []
-    for i, seg in enumerate(segments_raw):
-        seg = _as_mapping(seg, f"segments[{i}]")
-        ccs.append(_parse_cc(_get(seg, "cc", f"segments[{i}]"), f"segments[{i}].cc"))
-    return ChainClarke(per_segment=tuple(ccs))
+    ccs = tuple(
+        _parse_cc(_get(seg, "cc", where), f"{where}.cc")
+        for where, seg in _segments(data, "chain Clarke state")
+    )
+    return ChainClarke(per_segment=ccs)
 
 
 def load_clarke(path: str) -> ExtendedClarkeState | ChainClarke:
@@ -293,25 +286,21 @@ def _finite_array(a) -> np.ndarray:
     return a
 
 
-def clarke_state_dict(state: ExtendedClarkeState) -> dict:
-    out: dict[str, Any] = {"cc": [state.cc.rho_re, state.cc.rho_im]}
-    if state.beta is not None:
-        out["beta"] = state.beta
-    if state.alpha is not None:
-        out["alpha"] = state.alpha
+def _with_joint_scalars(out: dict, state: JointState | ExtendedClarkeState) -> dict:
+    """Add the state's ``beta`` and ``alpha`` to ``out``, each only if set."""
+    for name in ("beta", "alpha"):
+        if getattr(state, name) is not None:
+            out[name] = getattr(state, name)
     return out
+
+
+def clarke_state_dict(state: ExtendedClarkeState) -> dict:
+    return _with_joint_scalars({"cc": [state.cc.rho_re, state.cc.rho_im]}, state)
 
 
 def joint_state_dict(state: JointState) -> dict:
-    out: dict[str, Any] = {
-        "convention": state.convention.value,
-        "values": state.values.tolist(),
-    }
-    if state.beta is not None:
-        out["beta"] = state.beta
-    if state.alpha is not None:
-        out["alpha"] = state.alpha
-    return out
+    out = {"convention": state.convention.value, "values": state.values.tolist()}
+    return _with_joint_scalars(out, state)
 
 
 def chain_clarke_dict(cc: ChainClarke) -> dict:

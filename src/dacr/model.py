@@ -13,6 +13,7 @@ violations as data instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +36,13 @@ def _normalize_angles(psi):
     by multiplying with the comparison, which works for both."""
     out = psi % TWO_PI
     return out * (out < TWO_PI)
+
+
+def _angles_match(psi: np.ndarray, target: np.ndarray) -> bool:
+    """True if every circular difference psi_i - target_i is within
+    SYMMETRY_TOL_PSI."""
+    diff = np.mod(psi - target + np.pi, TWO_PI) - np.pi
+    return bool(np.max(np.abs(diff)) <= SYMMETRY_TOL_PSI)
 
 
 def _common_radius(d: np.ndarray) -> float | None:
@@ -94,10 +102,7 @@ class JointArrangement:
         """True if psi_i = 2*pi*(i-1)/n within 1e-9 rad and all d_i agree
         with d_1 within 1e-9 relative."""
         pattern = TWO_PI * np.arange(self.n) / self.n
-        diff = np.mod(self.psi - pattern + np.pi, TWO_PI) - np.pi
-        if np.max(np.abs(diff)) > SYMMETRY_TOL_PSI:
-            return False
-        return _common_radius(self.d) is not None
+        return _angles_match(self.psi, pattern) and _common_radius(self.d) is not None
 
 
 def make_symmetric_arrangement(n: int, d: float) -> JointArrangement:
@@ -160,14 +165,21 @@ class Coupling(str, Enum):
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """One segment: arrangement, initial neutral-axis length, type."""
+    """One segment: arrangement, initial neutral-axis length, type.
+
+    A non-finite length raises :class:`DomainError`; a non-positive one
+    is left for :func:`validate_robot` to report.
+    """
 
     arrangement: JointArrangement
     length: float
     seg_type: SegmentType = SegmentType.TYPE0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "length", float(self.length))
+        length = float(self.length)
+        if not math.isfinite(length):
+            raise DomainError(f"segment length must be finite, got {length}")
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "seg_type", SegmentType(self.seg_type))
 
 
@@ -196,13 +208,10 @@ class Violation:
     message: str
 
 
-def arrangements_match(a: JointArrangement, b: JointArrangement, tol: float = SYMMETRY_TOL_PSI) -> bool:
+def arrangements_match(a: JointArrangement, b: JointArrangement) -> bool:
     """True if both arrangements have the same joint count and the same
-    angles element-wise within tol (circular difference)."""
-    if a.n != b.n:
-        return False
-    diff = np.mod(a.psi - b.psi + np.pi, TWO_PI) - np.pi
-    return bool(np.max(np.abs(diff)) <= tol)
+    angles element-wise within SYMMETRY_TOL_PSI (circular difference)."""
+    return a.n == b.n and _angles_match(a.psi, b.psi)
 
 
 def validate_robot(spec: RobotSpec) -> list[Violation]:

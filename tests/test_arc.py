@@ -37,6 +37,17 @@ class TestArcParameters:
         with pytest.raises(DomainError):
             ArcParameters(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa": np.inf, "theta": 0.0, "l": 1.0},
+        {"kappa": 1.0, "theta": np.nan, "l": 1.0},
+        {"kappa": 1.0, "theta": 0.0, "l": np.inf},
+        {"kappa": np.inf, "theta": np.nan, "l": 1.0},
+        {"kappa": 1e308, "theta": 0.0, "l": 1e10},  # phi = l * kappa overflows
+    ], ids=["kappa", "theta", "l", "kappa-theta", "phi"])
+    def test_non_finite_refused(self, kwargs):
+        with pytest.raises(DomainError, match="non-finite"):
+            ArcParameters(**kwargs)
+
 
 class TestArcToClarke:
     def test_worked_example(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dacr.chain as chain_module
 from dacr import (
     ArrangementMismatch,
     ChainClarke,
@@ -322,3 +323,19 @@ class TestPairsBuiltOnce:
         for _ in range(5):
             interdependent_inverse(rob, cc)
         assert len(symmetry_tests) == 1
+
+    @pytest.mark.parametrize("m", [2, 4, 9])
+    def test_interdependent_inverse_checks_chain_once(self, monkeypatch, m):
+        calls = []
+        original = chain_module.arrangements_match
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(chain_module, "arrangements_match", counted)
+        rob = robot([make_symmetric_arrangement(3, 10.0)] * m, [1.0] * m,
+                    Coupling.INTERDEPENDENT)
+        cc = ChainClarke(tuple(ClarkeCoordinates(1.0, 0.5) for _ in range(m)))
+        interdependent_inverse(rob, cc)
+        assert len(calls) == m - 1

@@ -107,6 +107,35 @@ class TestMatrix:
         assert stdout == ""
         assert dest.read_text() == out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_out_file_matches_stdout(self, capsys, write, tmp_path, fmt):
+        argv = ["sample", "--input", write("arc.json", {"kappa": 0.01, "l": 100.0}),
+                "--points", "5", "--format", fmt]
+        _, out, _ = run(capsys, argv)
+        dest = tmp_path / f"sample.{fmt}"
+        code, stdout, _ = run(capsys, [*argv, "--out", str(dest)])
+        assert code == 0
+        assert stdout == ""
+        assert dest.read_text() == out
+
+    @pytest.mark.parametrize("argv, expected_code", [
+        (["arc", "to-clarke", "--input", "{arc}", "--d", "1e308"], 1),
+        (["forward", "--robot", "{robot}", "--input", "{state}"], 4),
+    ], ids=["non-finite-result", "dimension-mismatch"])
+    def test_out_file_kept_when_command_fails(self, capsys, write, tmp_path, argv, expected_code):
+        files = {
+            "arc": write("arc.json", {"kappa": 1.0, "theta": 0.0, "l": 10.0}),
+            "robot": write("robot.json", SYM3),
+            "state": write("state.json", {"convention": "rho", "values": [1.0, 0.0]}),
+        }
+        dest = tmp_path / "out.json"
+        dest.write_text("keep")
+        code, out, err = run(capsys, [*(a.format(**files) for a in argv), "--out", str(dest)])
+        assert code == expected_code
+        assert out == ""
+        assert "error:" in err
+        assert dest.read_text() == "keep"
+
     def test_byte_identical_across_runs(self, capsys, write):
         robot = write("robot.json", SYM3)
         _, first, _ = run(capsys, ["matrix", "--robot", robot])

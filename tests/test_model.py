@@ -123,6 +123,11 @@ class TestValidateRobot:
         assert [v.field for v in report] == ["joints.d"]
         assert "non-positive radial distance" in report[0].message
 
+    @pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan])
+    def test_non_finite_length_refused(self, length):
+        with pytest.raises(DomainError, match="finite"):
+            seg(make_symmetric_arrangement(3, 1.0), length=length)
+
     def test_non_positive_length(self):
         robot = RobotSpec(segments=(seg(make_symmetric_arrangement(3, 1.0), length=0.0),))
         report = validate_robot(robot)
