@@ -25,7 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import ClarkeCoordinates, ClarkePair, _as_vector, build_pair, forward, inverse
+from .clarke import (
+    DISPLACEMENT_TOL,
+    ClarkeCoordinates,
+    ClarkePair,
+    DisplacementCheck,
+    _as_vector,
+    _check_length,
+    _forward,
+    _validate_displacement,
+    build_pair,
+    inverse,
+)
 from .errors import (
     ArrangementMismatch,
     ConventionMismatch,
@@ -68,7 +79,13 @@ def _check_segment_count(robot: RobotSpec, count: int) -> None:
 
 
 def _shared_pair(robot: RobotSpec) -> ClarkePair:
-    """Build the single Clarke pair shared by an interdependent chain.
+    """The single Clarke pair shared by an interdependent chain, checked
+    on the first call and returned as the same object on every later one.
+
+    The pair is memoised on the robot, which is frozen down to its
+    read-only arrangement arrays, so the memo can never go stale; a
+    ``dataclasses.replace`` copy is checked anew. A failed check stores
+    nothing.
 
     Raises:
         ConventionMismatch: robot is not interdependent, or has segments
@@ -78,6 +95,9 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
             filter constant offsets, so the telescoped lengths would
             leak into the Clarke coordinates.
     """
+    pair = getattr(robot, "_shared_pair", None)
+    if pair is not None:
+        return pair
     if robot.coupling is not Coupling.INTERDEPENDENT:
         raise ConventionMismatch(
             "robot couples segments independently; use independent_forward"
@@ -101,7 +121,52 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
             "interdependent composition requires an arrangement that filters "
             "constant offsets"
         )
+    object.__setattr__(robot, "_shared_pair", pair)
     return pair
+
+
+def chain_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
+    """Per-segment Clarke coordinates of a chain, dispatched on its coupling.
+
+    Raises:
+        As :func:`interdependent_forward` or :func:`independent_forward`.
+    """
+    if robot.coupling is Coupling.INTERDEPENDENT:
+        return interdependent_forward(robot, state)
+    return independent_forward(robot, state)
+
+
+def chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
+    """Joint-space vectors realizing per-segment Clarke coordinates,
+    dispatched on the chain's coupling; roundtrips with :func:`chain_forward`.
+
+    Raises:
+        As :func:`interdependent_inverse` or :func:`independent_inverse`.
+    """
+    if robot.coupling is Coupling.INTERDEPENDENT:
+        return interdependent_inverse(robot, cc)
+    return independent_inverse(robot, cc)
+
+
+def validate_displacement(
+    robot: RobotSpec, state: ChainState, tol: float = DISPLACEMENT_TOL
+) -> tuple[DisplacementCheck, ...]:
+    """Check every segment's displacement vector against its own manifold,
+    as :func:`dacr.clarke.validate_displacement` does for one segment.
+
+    Raises:
+        ConventionMismatch: state holds q, not displacements.
+        DimensionMismatch: segment count or vector length mismatch.
+    """
+    if state.convention is not Convention.RHO:
+        raise ConventionMismatch("displacement validation applies to rho states")
+    _check_segment_count(robot, len(state.per_segment))
+    checks = []
+    for seg, rho in zip(robot.segments, state.per_segment):
+        pair = build_pair(seg.arrangement)
+        _check_length(rho, pair.n, "rho")
+        checks.append(_validate_displacement(pair, rho, tol))
+    return tuple(checks)
 
 
 def independent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
@@ -125,7 +190,9 @@ def independent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
     _check_segment_count(robot, len(state.per_segment))
     out = []
     for seg, rho in zip(robot.segments, state.per_segment):
-        out.append(forward(build_pair(seg.arrangement), rho))
+        pair = build_pair(seg.arrangement)
+        _check_length(rho, pair.n, "rho")
+        out.append(_forward(pair, rho))
     return ChainClarke(per_segment=tuple(out))
 
 
@@ -166,27 +233,33 @@ def interdependent_accumulate(
         ConventionMismatch, ArrangementMismatch, FilterPropertyUnavailable,
         DimensionMismatch: see :func:`_shared_pair`.
     """
-    return _accumulate(_shared_pair(robot), robot, rho_per_seg, l_per_seg)
+    pair = _shared_pair(robot)
+    rho = [_as_vector(r, pair.n, f"segment {j} rho") for j, r in enumerate(rho_per_seg)]
+    return _accumulate(robot, rho, l_per_seg)
 
 
-def _accumulate(pair: ClarkePair, robot: RobotSpec, rho_per_seg, l_per_seg) -> ChainState:
-    """:func:`interdependent_accumulate` on an already checked shared pair."""
-    rho_per_seg = [_as_vector(r, pair.n, f"segment {j} rho") for j, r in enumerate(rho_per_seg)]
-    _check_segment_count(robot, len(rho_per_seg))
+def _accumulate(robot: RobotSpec, rho_per_seg: list[np.ndarray], l_per_seg) -> ChainState:
+    """:func:`interdependent_accumulate` on length-n vectors.
+
+    One running sum down the stacked (m, n) array: row j is
+    l^j - rho^j + q^(j-1), added in the order of the recurrence, so
+    the result is that of the recurrence bit for bit. Adding +0.0
+    turns a -0.0 into +0.0, as the recurrence's start from zeros does.
+    A non-finite vector is refused by the ChainState that holds the
+    result.
+    """
     if l_per_seg is None:
         l_per_seg = [seg.length for seg in robot.segments]
-    lengths = [float(l) for l in l_per_seg]
-    if len(lengths) != len(rho_per_seg):
-        raise DimensionMismatch(
-            f"got {len(lengths)} lengths for {len(rho_per_seg)} segments"
-        )
-    ones = np.ones(pair.n)
-    q_prev = np.zeros(pair.n)
-    out = []
-    for length, rho in zip(lengths, rho_per_seg):
-        q_prev = length * ones - rho + q_prev
-        out.append(q_prev)
-    return ChainState(convention=Convention.Q, per_segment=tuple(out))
+    lengths = np.array([float(l) for l in l_per_seg])
+    if len(lengths) == len(rho_per_seg) == len(robot.segments):
+        q = (lengths[:, None] - np.array(rho_per_seg)).cumsum(axis=0) + 0.0
+        return ChainState(convention=Convention.Q, per_segment=tuple(q))
+    # A non-finite vector (an overflowing reconstruction) is reported
+    # before a count mismatch.
+    for j, rho in enumerate(rho_per_seg):
+        _as_vector(rho, name=f"segment {j} rho")
+    _check_segment_count(robot, len(rho_per_seg))
+    raise DimensionMismatch(f"got {len(lengths)} lengths for {len(rho_per_seg)} segments")
 
 
 def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
@@ -209,12 +282,13 @@ def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
         raise ConventionMismatch("interdependent_forward expects joint lengths (q)")
     _check_segment_count(robot, len(state.per_segment))
     out = []
-    q_prev = None
+    prev = None
     for q in state.per_segment:
-        q = _as_vector(q, pair.n, "q")
-        cc = -(pair.mp @ q) if q_prev is None else pair.mp @ q_prev - pair.mp @ q
+        _check_length(q, pair.n, "q")
+        cur = pair.mp @ q
+        cc = -cur if prev is None else prev - cur
         out.append(ClarkeCoordinates(float(cc[0]), float(cc[1])))
-        q_prev = q
+        prev = cur
     return ChainClarke(per_segment=tuple(out))
 
 
@@ -231,4 +305,4 @@ def interdependent_inverse(
         DimensionMismatch: see :func:`interdependent_accumulate`.
     """
     pair = _shared_pair(robot)
-    return _accumulate(pair, robot, [inverse(pair, c) for c in cc.per_segment], l_per_seg)
+    return _accumulate(robot, [inverse(pair, c) for c in cc.per_segment], l_per_seg)

@@ -13,10 +13,20 @@ pseudoinverse, which collapses to (2/n) * mp_inv.T for evenly spaced
 joints on a common radius. Both matrices depend only on the joint
 angles; the radial distances matter only when converting to arc
 parameters (see :mod:`dacr.arc`).
+
+Validation happens once, at the library boundary. Public functions
+check what they are given (shape, length, finiteness) and raise a
+:class:`~dacr.errors.DacrError`; ``_``-prefixed kernels trust their
+input and only compute. The state dataclasses (``ClarkeCoordinates``,
+``segments.JointState``, ``chain.ChainState``) check their values when
+they are built and hold them as finite floats or read-only 1-D
+vectors, so a function that receives one checks only what the state
+cannot know, such as the joint count of the segment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +50,20 @@ DISPLACEMENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ClarkeCoordinates:
-    """The two free variables of a bending segment, in length units."""
+    """The two free variables of a bending segment, in length units.
+
+    Raises:
+        DomainError: if either coordinate is NaN or infinite.
+    """
 
     rho_re: float
     rho_im: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.rho_re) and math.isfinite(self.rho_im)):
+            raise DomainError(
+                f"Clarke coordinates must be finite, got ({self.rho_re}, {self.rho_im})"
+            )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho_re, self.rho_im])
@@ -94,16 +114,24 @@ class ClarkePair:
 
 
 def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
+    """Validate a joint-space vector: a finite 1-D float array, of length n
+    when n is given."""
     out = np.atleast_1d(np.asarray(values, dtype=float))
     if out.ndim != 1:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {out.shape}")
-    if n is not None and out.shape[0] != n:
-        raise DimensionMismatch(f"{name} has length {out.shape[0]}, expected {n}")
+    if n is not None:
+        _check_length(out, n, name)
     # count_nonzero is a plain C call, about half the cost of .all()
     # on the short vectors of a control loop.
     if np.count_nonzero(np.isfinite(out)) != out.shape[0]:
         raise DomainError(f"{name} must be finite")
     return out
+
+
+def _check_length(vector: np.ndarray, n: int, name: str) -> None:
+    """The one check a vector held by a state still needs: its length."""
+    if vector.shape[0] != n:
+        raise DimensionMismatch(f"{name} has length {vector.shape[0]}, expected {n}")
 
 
 def build_mp_inv(arr: JointArrangement) -> np.ndarray:
@@ -177,9 +205,14 @@ def forward(pair: ClarkePair, rho) -> ClarkeCoordinates:
 
     Raises:
         DimensionMismatch: if rho does not have length n.
-        DomainError: if rho has a non-finite entry.
+        DomainError: if rho has a non-finite entry, or the coordinates
+            overflow.
     """
-    rho = _as_vector(rho, pair.n, "rho")
+    return _forward(pair, _as_vector(rho, pair.n, "rho"))
+
+
+def _forward(pair: ClarkePair, rho: np.ndarray) -> ClarkeCoordinates:
+    """:func:`forward` on a validated length-n vector."""
     cc = pair.mp @ rho
     return ClarkeCoordinates(float(cc[0]), float(cc[1]))
 
@@ -223,6 +256,20 @@ def validate_displacement(
         DimensionMismatch: if rho does not have length n.
         DomainError: if rho has a non-finite entry.
     """
-    rho = _as_vector(rho, pair.n, "rho")
-    residual = float(np.linalg.norm(rho - pair.projector @ rho))
+    return _validate_displacement(pair, _as_vector(rho, pair.n, "rho"), tol)
+
+
+def _validate_displacement(pair: ClarkePair, rho: np.ndarray, tol: float) -> DisplacementCheck:
+    """:func:`validate_displacement` on a validated length-n vector."""
+    residual = _residual(pair, rho)
     return DisplacementCheck(valid=residual <= tol, residual_norm=residual)
+
+
+def _residual(pair: ClarkePair, x: np.ndarray) -> float:
+    """Euclidean distance from a validated length-n vector to its projection.
+
+    ``math.sqrt(r @ r)`` is what ``np.linalg.norm`` computes for a 1-D
+    vector, bit for bit, without its dispatch.
+    """
+    r = x - pair.projector @ x
+    return math.sqrt(r @ r)

@@ -31,13 +31,11 @@ from .arc import arc_to_clarke, clarke_to_arc, sample_backbone
 from .chain import (
     ChainClarke,
     ChainState,
-    _check_segment_count,
-    independent_forward,
-    independent_inverse,
+    chain_forward,
+    chain_inverse,
     interdependent_accumulate,
-    interdependent_forward,
-    interdependent_inverse,
 )
+from .chain import validate_displacement as validate_chain_displacement
 from .clarke import DISPLACEMENT_TOL, ClarkePair, build_pair, project, validate_displacement
 from .errors import (
     ArrangementMismatch,
@@ -51,7 +49,7 @@ from .errors import (
     SchemaError,
     UnsupportedArrangement,
 )
-from .model import Coupling, RobotSpec, SegmentSpec, Violation, validate_robot
+from .model import RobotSpec, SegmentSpec, Violation, validate_robot
 from .segments import (
     Convention,
     JointState,
@@ -151,22 +149,6 @@ def _chain_input(
 
 
 # ---------------------------------------------------------------------------
-# chain dispatch
-
-
-def _chain_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
-    if robot.coupling is Coupling.INTERDEPENDENT:
-        return interdependent_forward(robot, state)
-    return independent_forward(robot, state)
-
-
-def _chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
-    if robot.coupling is Coupling.INTERDEPENDENT:
-        return interdependent_inverse(robot, cc)
-    return independent_inverse(robot, cc)
-
-
-# ---------------------------------------------------------------------------
 # command handlers
 
 
@@ -193,7 +175,7 @@ def _cmd_forward(args: argparse.Namespace) -> _Result:
     robot = _load_robot(args)
     state = io.load_state(args.input)
     if isinstance(state, ChainState):
-        return io.chain_clarke_dict(_chain_forward(robot, state)), 0
+        return io.chain_clarke_dict(chain_forward(robot, state)), 0
     seg, pair = _segment_pair(robot, args.segment)
     if args.alpha is not None:
         state = replace(state, alpha=args.alpha)
@@ -204,7 +186,7 @@ def _cmd_inverse(args: argparse.Namespace) -> _Result:
     robot = _load_robot(args)
     state = io.load_clarke(args.input)
     if isinstance(state, ChainClarke):
-        return io.chain_state_dict(_chain_inverse(robot, state)), 0
+        return io.chain_state_dict(chain_inverse(robot, state)), 0
     seg, pair = _segment_pair(robot, args.segment)
     if args.alpha is not None:
         state = replace(state, alpha=args.alpha)
@@ -217,16 +199,12 @@ def _cmd_validate(args: argparse.Namespace) -> _Result:
         return io.violations_dict(violations), 1 if violations else 0
     robot = _load_robot(args)
     state = io.load_state(args.input)
-    if state.convention is not Convention.RHO:
-        raise ConventionMismatch("displacement validation applies to rho states")
     if isinstance(state, ChainState):
-        _check_segment_count(robot, len(state.per_segment))
-        checks = [
-            validate_displacement(build_pair(seg.arrangement), values, args.tol)
-            for seg, values in zip(robot.segments, state.per_segment)
-        ]
+        checks = validate_chain_displacement(robot, state, args.tol)
         valid = all(c.valid for c in checks)
         return {"valid": valid, "segments": [asdict(c) for c in checks]}, 0 if valid else 1
+    if state.convention is not Convention.RHO:
+        raise ConventionMismatch("displacement validation applies to rho states")
     _, pair = _segment_pair(robot, args.segment)
     check = validate_displacement(pair, state.values, args.tol)
     return asdict(check), 0 if check.valid else 1
@@ -264,12 +242,12 @@ def _cmd_sample(args: argparse.Namespace) -> _Result:
 
 def _cmd_chain_forward(args: argparse.Namespace) -> _Result:
     robot, state = _chain_input(args, io.load_state)
-    return io.chain_clarke_dict(_chain_forward(robot, state)), 0
+    return io.chain_clarke_dict(chain_forward(robot, state)), 0
 
 
 def _cmd_chain_inverse(args: argparse.Namespace) -> _Result:
     robot, state = _chain_input(args, io.load_clarke)
-    return io.chain_state_dict(_chain_inverse(robot, state)), 0
+    return io.chain_state_dict(chain_inverse(robot, state)), 0
 
 
 def _cmd_chain_accumulate(args: argparse.Namespace) -> _Result:

@@ -24,7 +24,15 @@ from enum import Enum
 
 import numpy as np
 
-from .clarke import ClarkeCoordinates, ClarkePair, _as_vector, forward, inverse
+from .clarke import (
+    ClarkeCoordinates,
+    ClarkePair,
+    _as_vector,
+    _check_length,
+    _forward,
+    _residual,
+    inverse,
+)
 from .errors import (
     ConventionMismatch,
     DomainError,
@@ -122,10 +130,11 @@ def _require_filter(pair: ClarkePair) -> None:
         )
 
 
-def _cc_from_q(pair: ClarkePair, q) -> ClarkeCoordinates:
-    """cc = -mp @ q: the sign flips because q = l*ones - rho, and the
-    constant l is filtered out."""
-    return ClarkeCoordinates.from_array(-(pair.mp @ _as_vector(q, pair.n, "q")))
+def _cc_from_q(pair: ClarkePair, q: np.ndarray) -> ClarkeCoordinates:
+    """cc = -mp @ q on a validated length-n q: the sign flips because
+    q = l*ones - rho, and the constant l is filtered out."""
+    cc = pair.mp @ q
+    return ClarkeCoordinates(-float(cc[0]), -float(cc[1]))
 
 
 def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
@@ -150,12 +159,16 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
         DimensionMismatch: wrong q length.
     """
     _require_filter(pair)
-    q = _as_vector(q, pair.n, "q")
-    length = float(np.mean(q))
+    return _recover_length(pair, _as_vector(q, pair.n, "q"), tol)
+
+
+def _recover_length(pair: ClarkePair, q: np.ndarray, tol: float | None) -> float:
+    """:func:`recover_length` on a validated length-n q and a pair with
+    the filter property. ``q.sum() / n`` is ``np.mean(q)`` bit for bit."""
+    length = float(q.sum() / q.shape[0])
     if tol is None:
-        tol = OFF_MANIFOLD_REL * max(1.0, float(np.max(np.abs(q))))
-    centered = q - length
-    residual = float(np.linalg.norm(centered - pair.projector @ centered))
+        tol = OFF_MANIFOLD_REL * max(1.0, float(np.abs(q).max()))
+    residual = _residual(pair, q - length)
     if residual > tol:
         raise OffManifold(
             f"joint lengths are not consistent with any on-manifold displacement "
@@ -174,7 +187,14 @@ def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> Exten
         FilterPropertyUnavailable, OffManifold, DimensionMismatch: as in
             :func:`recover_length`.
     """
-    beta = recover_length(pair, q, tol=tol)
+    _require_filter(pair)
+    return _type1_from_q(pair, _as_vector(q, pair.n, "q"), tol)
+
+
+def _type1_from_q(pair: ClarkePair, q: np.ndarray, tol: float | None) -> ExtendedClarkeState:
+    """:func:`type1_forward_from_q` on a validated length-n q and a pair
+    with the filter property."""
+    beta = _recover_length(pair, q, tol)
     return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta)
 
 
@@ -227,6 +247,7 @@ def type3_forward(pair: ClarkePair, q, beta: float, alpha: float) -> ExtendedCla
         DimensionMismatch: wrong q length.
     """
     _require_filter(pair)
+    q = _as_vector(q, pair.n, "q")
     return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta, alpha=alpha)
 
 
@@ -264,15 +285,23 @@ def type3_forward_from_q(
     """
     q = _as_vector(q, pair.n, "q")
     _require_filter(pair)
+    return _type3_from_q(pair, q, alpha, d, tol)
+
+
+def _type3_from_q(
+    pair: ClarkePair, q: np.ndarray, alpha: float, d: float, tol: float | None
+) -> ExtendedClarkeState:
+    """:func:`type3_forward_from_q` on a validated length-n q and a pair
+    with the filter property."""
     if not (d > 0.0):
         raise DomainError(f"radial distance must be positive, got {d}")
-    m = float(np.mean(q))
+    m = float(q.sum() / q.shape[0])
     a = abs(float(alpha) * float(d))
     if not (m > a):
         raise DomainError(
             f"mean joint length {m} does not exceed the twist arm |alpha*d| = {a}"
         )
-    beta = recover_length(pair, q - (m - math.sqrt((m - a) * (m + a))), tol=tol)
+    beta = _recover_length(pair, q - (m - math.sqrt((m - a) * (m + a))), tol)
     return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta, alpha=float(alpha))
 
 
@@ -310,25 +339,31 @@ def segment_forward(
     """
     t = seg.seg_type
     _check_joints(t, state.beta, state.alpha)
+    values = state.values
     if state.convention is Convention.RHO:
         if t.has_length_joint and state.beta is None:
             raise ConventionMismatch(f"{t.value} forward on rho needs beta")
+        _check_length(values, pair.n, "rho")
         return ExtendedClarkeState(
-            cc=forward(pair, state.values), beta=state.beta, alpha=state.alpha
+            cc=_forward(pair, values), beta=state.beta, alpha=state.alpha
         )
-    if t is SegmentType.TYPE1:
-        if state.beta is not None:
-            raise ConventionMismatch("q already encodes the length; drop beta or use rho")
-        return type1_forward_from_q(pair, state.values, tol=tol)
-    if t is SegmentType.TYPE3:
-        if state.beta is not None:
-            return type3_forward(pair, state.values, state.beta, state.alpha)
+    if t is SegmentType.TYPE3 and state.beta is None:
         d = common_radius(pair.arrangement)
-        return type3_forward_from_q(pair, state.values, state.alpha, d, tol=tol)
-    # type 0/II on q: the fixed length (plus any twist-induced offset)
-    # is an additive constant, so -mp @ q needs the filter property.
+        _check_length(values, pair.n, "q")
+        _require_filter(pair)
+        return _type3_from_q(pair, values, state.alpha, d, tol)
+    if t is SegmentType.TYPE1 and state.beta is not None:
+        raise ConventionMismatch("q already encodes the length; drop beta or use rho")
+    # Every other type on q: the fixed length (plus any twist-induced
+    # offset) is an additive constant, so -mp @ q needs the filter
+    # property; type I recovers beta, type III keeps the one it carries.
     _require_filter(pair)
-    return ExtendedClarkeState(cc=_cc_from_q(pair, state.values), alpha=state.alpha)
+    _check_length(values, pair.n, "q")
+    if t is SegmentType.TYPE1:
+        return _type1_from_q(pair, values, tol)
+    return ExtendedClarkeState(
+        cc=_cc_from_q(pair, values), beta=state.beta, alpha=state.alpha
+    )
 
 
 def segment_inverse(

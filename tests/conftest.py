@@ -7,12 +7,32 @@ captures stdout of passing tests.
 
 import pytest
 
+import dacr.chain
+import dacr.clarke
+import dacr.segments
+
 ACCEPTANCE_LINES: list[str] = []
 
 
 @pytest.fixture
 def acceptance_report():
     return ACCEPTANCE_LINES
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Names passed to ``clarke._as_vector``, the full check of a joint-space
+    vector, from every module that binds it, while the test runs."""
+    names: list[str] = []
+    original = dacr.clarke._as_vector
+
+    def counted(values, n=None, name="vector"):
+        names.append(name)
+        return original(values, n, name)
+
+    for module in (dacr.clarke, dacr.segments, dacr.chain):
+        monkeypatch.setattr(module, "_as_vector", counted)
+    return names
 
 
 def pytest_terminal_summary(terminalreporter):

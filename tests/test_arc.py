@@ -65,6 +65,11 @@ class TestArcToClarke:
         assert abs(cc.rho_re) < 1e-12
         assert cc.rho_im == pytest.approx(5.0, rel=1e-15)
 
+    def test_overflow_raises(self):
+        # d * l * kappa = inf; cos(0) * inf is inf and sin(0) * inf is NaN.
+        with pytest.raises(DomainError, match="finite"):
+            arc_to_clarke(ArcParameters(1.0, 0.0, 10.0), 1e308)
+
     def test_rejects_non_positive_d(self):
         with pytest.raises(DomainError):
             arc_to_clarke(BENT, d=0.0)

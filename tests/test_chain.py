@@ -1,7 +1,11 @@
 """Multi-segment composition: block-diagonal and coupled joint lengths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dacr.chain as chain_module
 from dacr import (
@@ -13,12 +17,16 @@ from dacr import (
     Convention,
     Coupling,
     DimensionMismatch,
+    DomainError,
     FilterPropertyUnavailable,
     JointArrangement,
     RobotSpec,
     SegmentSpec,
     SegmentType,
     build_pair,
+    chain_forward,
+    chain_inverse,
+    forward,
     independent_forward,
     independent_inverse,
     interdependent_accumulate,
@@ -26,6 +34,7 @@ from dacr import (
     interdependent_inverse,
     inverse,
     make_symmetric_arrangement,
+    validate_displacement,
 )
 
 ARR3 = make_symmetric_arrangement(3, 10.0)
@@ -212,6 +221,15 @@ class TestInterdependentInverse:
         )
         np.testing.assert_allclose(state.per_segment[0], [98.0, 101.0, 101.0], atol=1e-12)
 
+    @pytest.mark.parametrize("m, lengths", [(1, None), (2, None), (2, [1.0])],
+                             ids=["state-count", "state-count-2", "length-count"])
+    def test_overflow_reported_before_count_mismatch(self, m, lengths):
+        # Finite coordinates whose reconstruction overflows, on a chain
+        # whose counts disagree as well: the overflow is reported.
+        cc = ChainClarke((ClarkeCoordinates(-1.7e308, 1.7e308),) * 2)
+        with pytest.raises(DomainError, match="finite"), np.errstate(all="ignore"):
+            interdependent_inverse(interdependent(m), cc, l_per_seg=lengths)
+
     def test_roundtrip_with_forward(self):
         rng = np.random.default_rng(29)
         for m in (1, 2, 5):
@@ -339,3 +357,196 @@ class TestPairsBuiltOnce:
         cc = ChainClarke(tuple(ClarkeCoordinates(1.0, 0.5) for _ in range(m)))
         interdependent_inverse(rob, cc)
         assert len(calls) == m - 1
+
+
+class TestChainMemo:
+    """The interdependent chain check runs once per robot; its pair is
+    memoised on the frozen RobotSpec."""
+
+    @pytest.fixture
+    def chain_checks(self, monkeypatch):
+        calls = []
+        original = chain_module.arrangements_match
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(chain_module, "arrangements_match", counted)
+        return calls
+
+    def test_same_pair_on_every_call(self, chain_checks):
+        rob = interdependent(m=2)
+        first = chain_module._shared_pair(rob)
+        assert all(chain_module._shared_pair(rob) is first for _ in range(5))
+        cc = ChainClarke((ClarkeCoordinates(1.0, 0.5), ClarkeCoordinates(0.0, -1.0)))
+        state = interdependent_inverse(rob, cc)
+        interdependent_forward(rob, state)
+        interdependent_accumulate(rob, [np.zeros(3), np.zeros(3)])
+        assert len(chain_checks) == 1
+
+    @pytest.mark.parametrize("bad, error", [
+        (robot([ARR3, ARR4], (1.0, 2.0), Coupling.INTERDEPENDENT), ArrangementMismatch),
+        (RobotSpec((SegmentSpec(ARR3, 1.0, SegmentType.TYPE1),), Coupling.INTERDEPENDENT),
+         ConventionMismatch),
+        (robot([JointArrangement(psi=np.array([0.0, np.pi / 2, np.pi]), d=np.ones(3))] * 2,
+               (1.0, 2.0), Coupling.INTERDEPENDENT), FilterPropertyUnavailable),
+        (robot([ARR3, ARR3], (1.0, 2.0), Coupling.INDEPENDENT), ConventionMismatch),
+    ], ids=["mismatched", "type1", "non-filtering", "independent"])
+    def test_failed_check_raises_every_time_and_stores_nothing(self, bad, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                chain_module._shared_pair(bad)
+        assert "_shared_pair" not in vars(bad)
+
+    def test_replace_checks_anew(self, chain_checks):
+        rob = interdependent(m=3, lengths=(1.0, 2.0, 3.0))
+        pair = chain_module._shared_pair(rob)
+        copy = dataclasses.replace(rob)
+        assert "_shared_pair" not in vars(copy)
+        assert chain_module._shared_pair(copy) is pair
+        assert len(chain_checks) == 4
+
+    def test_memo_equals_fresh_check(self):
+        rob = interdependent(m=2)
+        memo = chain_module._shared_pair(rob)
+        fresh_robot = robot([make_symmetric_arrangement(3, 10.0)] * 2, (10.0, 20.0),
+                            Coupling.INTERDEPENDENT)
+        fresh = chain_module._shared_pair(fresh_robot)
+        assert fresh is not memo
+        for name in ("mp", "mp_inv", "projector"):
+            assert getattr(fresh, name).tobytes() == getattr(memo, name).tobytes()
+        assert fresh.filter_ok == memo.filter_ok
+
+
+class TestChainSingleValidation:
+    """Each vector is checked once: when the ChainState holding it is built."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_interdependent_forward(self, validations, m):
+        rob = interdependent(m=m, lengths=(1.0, 2.0, 3.0))
+        state = ChainState(Convention.Q, tuple(np.full(3, 1.0 + j) for j in range(m)))
+        interdependent_forward(rob, state)
+        assert len(validations) == m
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_interdependent_inverse(self, validations, m):
+        rob = interdependent(m=m, lengths=(1.0, 2.0, 3.0))
+        cc = ChainClarke(tuple(ClarkeCoordinates(1.0, -0.5) for _ in range(m)))
+        interdependent_inverse(rob, cc)
+        assert len(validations) == m
+
+    def test_independent_forward(self, validations):
+        rob = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
+        independent_forward(rob, ChainState(Convention.RHO, (np.zeros(3), np.zeros(4))))
+        assert len(validations) == 2
+
+
+class TestChainDispatch:
+    def test_forward_and_inverse_follow_coupling(self):
+        coupled = interdependent(m=2)
+        cc = ChainClarke((ClarkeCoordinates(1.0, 0.5), ClarkeCoordinates(0.0, -1.0)))
+        q = chain_inverse(coupled, cc)
+        assert q.convention is Convention.Q
+        assert as_bits(q.per_segment) == as_bits(interdependent_inverse(coupled, cc).per_segment)
+        assert chain_forward(coupled, q) == interdependent_forward(coupled, q)
+
+        local = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
+        rho = chain_inverse(local, cc)
+        assert rho.convention is Convention.RHO
+        assert as_bits(rho.per_segment) == as_bits(independent_inverse(local, cc).per_segment)
+        assert chain_forward(local, rho) == independent_forward(local, rho)
+
+    def test_validate_matches_per_segment_check(self):
+        local = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
+        state = ChainState(Convention.RHO, ([2.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]))
+        checks = chain_module.validate_displacement(local, state, tol=1e-9)
+        assert checks == (
+            validate_displacement(build_pair(ARR3), state.per_segment[0], 1e-9),
+            validate_displacement(build_pair(ARR4), state.per_segment[1], 1e-9),
+        )
+        assert [c.valid for c in checks] == [True, False]
+
+    def test_validate_refuses_q_and_wrong_counts(self):
+        local = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
+        with pytest.raises(ConventionMismatch):
+            chain_module.validate_displacement(
+                local, ChainState(Convention.Q, (np.ones(3), np.ones(4))))
+        with pytest.raises(DimensionMismatch):
+            chain_module.validate_displacement(local, ChainState(Convention.RHO, (np.ones(3),)))
+        with pytest.raises(DimensionMismatch):
+            chain_module.validate_displacement(
+                local, ChainState(Convention.RHO, (np.ones(3), np.ones(3))))
+
+
+# Finite floats with both signed zeros drawn often.
+FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+def as_bits(vectors):
+    return [np.asarray(v, dtype=float).tobytes() for v in vectors]
+
+
+def cc_bits(chain_cc):
+    return [np.array([c.rho_re, c.rho_im]).tobytes() for c in chain_cc.per_segment]
+
+
+class TestChainKernelsMatchReference:
+    """The stacked kernels against the per-segment loops they replace,
+    kept here as the reference; equal bit for bit, signed zeros included."""
+
+    @staticmethod
+    def reference_accumulate(rho_per_seg, lengths):
+        n = len(rho_per_seg[0])
+        ones, q_prev, out = np.ones(n), np.zeros(n), []
+        for length, rho in zip(lengths, rho_per_seg):
+            q_prev = length * ones - np.asarray(rho, dtype=float) + q_prev
+            out.append(q_prev)
+        return out
+
+    @staticmethod
+    def reference_forward(mp, q_per_seg):
+        out, q_prev = [], None
+        for q in q_per_seg:
+            cc = -(mp @ q) if q_prev is None else mp @ q_prev - mp @ q
+            out.append(np.array([float(cc[0]), float(cc[1])]))
+            q_prev = q
+        return out
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 8), m=st.integers(1, 6), data=st.data())
+    def test_accumulate_and_forward(self, n, m, data):
+        arr = make_symmetric_arrangement(n, 10.0)
+        rob = robot([arr] * m, [1.0] * m, Coupling.INTERDEPENDENT)
+        rho = [data.draw(st.lists(FINITE, min_size=n, max_size=n)) for _ in range(m)]
+        lengths = data.draw(st.lists(FINITE, min_size=m, max_size=m))
+        q = interdependent_accumulate(rob, rho, lengths)
+        want = self.reference_accumulate(rho, lengths)
+        assert as_bits(q.per_segment) == as_bits(want)
+
+        mp = build_pair(arr).mp
+        got = interdependent_forward(rob, q)
+        assert cc_bits(got) == as_bits(self.reference_forward(mp, q.per_segment))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 8), m=st.integers(1, 6), data=st.data())
+    def test_inverse(self, n, m, data):
+        arr = make_symmetric_arrangement(n, 10.0)
+        lengths = data.draw(st.lists(st.floats(0.5, 200.0), min_size=m, max_size=m))
+        rob = robot([arr] * m, lengths, Coupling.INTERDEPENDENT)
+        coords = [ClarkeCoordinates(*data.draw(st.tuples(FINITE, FINITE))) for _ in range(m)]
+        got = interdependent_inverse(rob, ChainClarke(tuple(coords)))
+        pair = build_pair(arr)
+        want = self.reference_accumulate([inverse(pair, c) for c in coords], lengths)
+        assert as_bits(got.per_segment) == as_bits(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ns=st.lists(st.integers(3, 8), min_size=1, max_size=5), data=st.data())
+    def test_independent_forward(self, ns, data):
+        arrs = [make_symmetric_arrangement(n, 10.0) for n in ns]
+        rob = robot(arrs, [1.0] * len(ns), Coupling.INDEPENDENT)
+        rho = [data.draw(st.lists(FINITE, min_size=n, max_size=n)) for n in ns]
+        got = chain_forward(rob, ChainState(Convention.RHO, tuple(rho)))
+        want = [forward(build_pair(a), r) for a, r in zip(arrs, rho)]
+        assert got.per_segment == tuple(want)
+        assert cc_bits(got) == cc_bits(ChainClarke(tuple(want)))

@@ -213,6 +213,23 @@ class TestNonFinite:
         with pytest.raises(DimensionMismatch):
             forward(build_pair(SYM3), [math.nan, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_clarke_coordinates_refused(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ClarkeCoordinates(bad, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            ClarkeCoordinates(0.0, bad)
+
+    def test_inverse_of_nan_coordinates_raises(self):
+        # The coordinates are refused when built, so no NaN reaches mp_inv.
+        with pytest.raises(DomainError):
+            inverse(build_pair(SYM3), ClarkeCoordinates(math.nan, 0.0))
+
+    def test_overflowing_forward_raises(self):
+        # Finite joint values whose Clarke coordinates overflow.
+        with pytest.raises(DomainError), np.errstate(all="ignore"):
+            forward(build_pair(SYM3), [1.5e308, -1.5e308, -1.5e308])
+
 
 class TestInverse:
     def test_worked_example(self):
@@ -289,6 +306,30 @@ class TestValidateDisplacement:
             np.testing.assert_allclose(projector @ rho, rho, atol=1e-12)
         with pytest.raises(DegenerateArrangement):
             build_pair(arrangement(psi))
+
+
+# Finite floats with both signed zeros drawn often; the kernels must
+# match the NumPy reductions they replace bit for bit.
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e6, 1e6, allow_subnormal=True),
+)
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestResidualKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 12), data=st.data())
+    def test_matches_linalg_norm_bit_for_bit(self, n, data):
+        pair = build_pair(make_symmetric_arrangement(n, 10.0))
+        rho = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        reference = float(np.linalg.norm(rho - pair.projector @ rho))
+        check = validate_displacement(pair, rho)
+        assert bits(check.residual_norm) == bits(reference)
+        assert check.valid == (reference <= 1e-9)
 
 
 class TestClarkeCoordinates:

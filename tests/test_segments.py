@@ -1,5 +1,7 @@
 """Segment-type mappings: joint lengths, recovery, extensions, twist."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from dacr import (
     type3_forward,
     type3_forward_from_q,
 )
+from dacr.segments import OFF_MANIFOLD_REL
 
 PAIR3 = build_pair(make_symmetric_arrangement(3, 10.0))
 PAIR4 = build_pair(make_symmetric_arrangement(4, 10.0))
@@ -478,3 +481,130 @@ class TestCommonRadius:
         arr = JointArrangement(psi=np.array([0.0, 2.0, 4.0]), d=np.array([1.0, 1.0, 2.0]))
         with pytest.raises(UnsupportedArrangement):
             common_radius(arr)
+
+
+class TestSingleValidation:
+    """Each input vector is checked once between entering the library and
+    leaving it: by the public function it is passed to, or by the state
+    that holds it."""
+
+    Q3 = [3.0, 6.0, 6.0]
+
+    def test_recover_length(self, validations):
+        recover_length(PAIR3, self.Q3)
+        assert validations == ["q"]
+
+    def test_type1_forward_from_q(self, validations):
+        type1_forward_from_q(PAIR3, [98.0, 101.0, 101.0])
+        assert validations == ["q"]
+
+    def test_type3_forward_from_q(self, validations):
+        type3_forward_from_q(PAIR3, self.Q3, 0.3, 10.0)
+        assert validations == ["q"]
+
+    def test_type3_forward(self, validations):
+        type3_forward(PAIR3, self.Q3, 4.0, 0.3)
+        assert validations == ["q"]
+
+    @pytest.mark.parametrize(
+        "seg_type, beta, alpha",
+        [
+            (SegmentType.TYPE0, None, None),
+            (SegmentType.TYPE1, None, None),
+            (SegmentType.TYPE2, None, 0.3),
+            (SegmentType.TYPE3, None, 0.3),
+            (SegmentType.TYPE3, 4.0, 0.3),
+        ],
+    )
+    def test_segment_forward_on_q(self, validations, seg_type, beta, alpha):
+        seg = SegmentSpec(arrangement=PAIR3.arrangement, length=4.0, seg_type=seg_type)
+        state = JointState(convention=Convention.Q, values=self.Q3, beta=beta, alpha=alpha)
+        segment_forward(seg, PAIR3, state)
+        assert validations == ["values"]
+
+
+# Finite floats with both signed zeros drawn often.
+FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def reference_recover_length(pair, q, tol=None):
+    """Length recovery as written with NumPy's reductions, kept as the
+    reference for the kernel that replaces them."""
+    q = np.asarray(q, dtype=float)
+    length = float(np.mean(q))
+    if tol is None:
+        tol = OFF_MANIFOLD_REL * max(1.0, float(np.max(np.abs(q))))
+    centered = q - length
+    residual = float(np.linalg.norm(centered - pair.projector @ centered))
+    if residual > tol:
+        raise OffManifold(f"residual {residual:.3e} > tol {tol:.3e}")
+    return length
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the class of the DacrError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (OffManifold, DomainError) as exc:
+        return type(exc)
+
+
+class TestKernelsMatchReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), data=st.data())
+    def test_reductions_bit_for_bit(self, n, data):
+        q = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        assert bits(q.sum() / q.shape[0]) == bits(np.mean(q))
+        assert bits(np.abs(q).max()) == bits(np.max(np.abs(q)))
+        assert bits(math.sqrt(q @ q)) == bits(np.linalg.norm(q))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 12),
+        l=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e4)),
+        noise=st.sampled_from([0.0, 1e-9, 1e-3]),
+        tol=st.sampled_from([None, math.inf, 1e-6]),
+        data=st.data(),
+    )
+    def test_recover_length(self, n, l, noise, tol, data):
+        # On and off the manifold: both sides must accept or refuse alike
+        # and return the same bits.
+        pair = build_pair(make_symmetric_arrangement(n, 10.0))
+        rho = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        q = l - (pair.projector @ rho + noise * rho)
+        got = outcome(recover_length, pair, q, tol=tol)
+        want = outcome(reference_recover_length, pair, q, tol=tol)
+        if isinstance(want, float):
+            assert bits(got) == bits(want)
+        else:
+            assert got is want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 12),
+        l=st.floats(0.5, 200.0),
+        alpha=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-math.pi, math.pi)),
+        data=st.data(),
+    )
+    def test_type3_forward_from_q(self, n, l, alpha, data):
+        d = 10.0
+        pair = build_pair(make_symmetric_arrangement(n, d))
+        cc = data.draw(st.tuples(FINITE, FINITE))
+        rho = inverse(pair, ClarkeCoordinates(cc[0] * 1e-6, cc[1] * 1e-6))
+        q = (l + helical_offset(alpha, d, l)) - rho
+
+        m = float(np.mean(q))
+        a = abs(alpha * d)
+        beta = outcome(reference_recover_length, pair, q - (m - math.sqrt((m - a) * (m + a))))
+        got = outcome(type3_forward_from_q, pair, q, alpha, d)
+        if not isinstance(beta, float):
+            assert got is beta
+            return
+        assert bits(got.beta) == bits(beta)
+        want_cc = -(pair.mp @ q)
+        assert bits(got.cc.rho_re) == bits(want_cc[0])
+        assert bits(got.cc.rho_im) == bits(want_cc[1])
