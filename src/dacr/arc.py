@@ -110,7 +110,8 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     reported as 0 with theta_defined False.
 
     Raises:
-        DomainError: if d <= 0 or l <= 0.
+        DomainError: if d <= 0 or l <= 0, if d * l underflows to zero,
+            or if the curvature overflows.
     """
     if not (d > 0.0):
         raise DomainError(f"radial distance must be positive, got {d}")
@@ -119,6 +120,8 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     norm = math.hypot(cc.rho_re, cc.rho_im)
     if norm == 0.0:
         return ArcParameters(kappa=0.0, theta=0.0, l=float(l), theta_defined=False)
+    if d * l == 0.0:
+        raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
     theta = _normalize_angles(math.atan2(cc.rho_im, cc.rho_re))
     return ArcParameters(kappa=norm / (d * l), theta=theta, l=float(l))
 
@@ -144,8 +147,17 @@ def sample_backbone(arc: ArcParameters, points: int) -> BackbonePolyline:
     """Sample the backbone arc at evenly spaced arc lengths.
 
     The base is at the origin with tangent +z; the arc bends toward the
-    direction (cos theta, sin theta, 0). A zero-curvature segment is a
-    straight line along +z.
+    direction (cos theta, sin theta, 0). The chord from the base to the
+    point at arc length s has length s * sinc(u) and leans u = kappa*s/2
+    away from the tangent, with sinc(t) = sin(t) / t:
+
+        (x, y) = (cos theta, sin theta) * s * sinc(u) * sin(u)
+        z      = s * sinc(u) * cos(u)
+
+    These are kappa * s**2/2 * sinc(u)**2 = (1 - cos(kappa s)) / kappa
+    and s * sinc(2u) = sin(kappa s) / kappa, without the cancellation
+    near the straight configuration and without an overflowing s**2.
+    At kappa = 0 they are exact: the +z axis.
 
     Args:
         arc: constant-curvature segment description.
@@ -157,15 +169,19 @@ def sample_backbone(arc: ArcParameters, points: int) -> BackbonePolyline:
     if int(points) != points or points < 2:
         raise DomainError(f"need at least two sample points, got {points}")
     s = np.linspace(0.0, arc.l, int(points))
-    if arc.kappa == 0.0:
-        xyz = np.column_stack((np.zeros_like(s), np.zeros_like(s), s))
-        return BackbonePolyline(s=s, points=xyz)
-    radial = (1.0 - np.cos(arc.kappa * s)) / arc.kappa
-    xyz = np.column_stack(
-        (
-            radial * math.cos(arc.theta),
-            radial * math.sin(arc.theta),
-            np.sin(arc.kappa * s) / arc.kappa,
-        )
-    )
+    u = arc.kappa / 2.0 * s
+    # np.sinc(t / pi) = sin(t) / t
+    chord = s * np.sinc(u / np.pi)
+    # Each column is written in place, which keeps the peak memory below
+    # that of stacking separately computed columns.
+    xyz = np.empty((s.shape[0], 3))
+    x, y, z = xyz.T
+    np.multiply(chord, np.sin(u), out=x)
+    np.multiply(x, math.sin(arc.theta), out=y)
+    x *= math.cos(arc.theta)
+    np.multiply(chord, np.cos(u), out=z)
+    # At kappa = 0, x and y are +0.0 times cos or sin theta: -0.0 where
+    # that is negative. Adding +0.0 gives +0.0, so a straight backbone
+    # is the bare +z axis.
+    xyz += 0.0
     return BackbonePolyline(s=s, points=xyz)

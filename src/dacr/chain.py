@@ -14,9 +14,7 @@ constants l^j telescope into the q vectors but are filtered out by the
 transform, so the Clarke coordinates never depend on them.
 
 Interdependent composition is defined for bending-only segments with one
-shared arrangement; length/twist joints have no composition rule across
-a shared actuation path, and element-wise q addition presumes aligned
-routing.
+shared arrangement: the rule is :func:`dacr.model.interdependent_violations`.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     FilterPropertyUnavailable,
 )
-from .model import Coupling, RobotSpec, SegmentType, arrangements_match
+from .model import Coupling, RobotSpec, interdependent_violations
 from .segments import Convention
 
 
@@ -102,20 +100,14 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
         raise ConventionMismatch(
             "robot couples segments independently; use independent_forward"
         )
-    for j, seg in enumerate(robot.segments):
-        if seg.seg_type is not SegmentType.TYPE0:
-            raise ConventionMismatch(
-                f"interdependent chains support only bending-only segments "
-                f"(segment {j} is {seg.seg_type.value})"
-            )
-    first = robot.segments[0].arrangement
-    for j, seg in enumerate(robot.segments[1:], start=1):
-        if not arrangements_match(first, seg.arrangement):
-            raise ArrangementMismatch(
-                f"segment {j} arrangement differs from segment 0; "
-                "interdependent routing requires aligned joints"
-            )
-    pair = build_pair(first)
+    # Segment types are reported before arrangements.
+    faults = sorted(
+        interdependent_violations(robot.segments), key=lambda v: v.field == "joints"
+    )
+    if faults:
+        error = ArrangementMismatch if faults[0].field == "joints" else ConventionMismatch
+        raise error(f"segment {faults[0].segment}: {faults[0].message}")
+    pair = build_pair(robot.segments[0].arrangement)
     if not pair.filter_ok:
         raise FilterPropertyUnavailable(
             "interdependent composition requires an arrangement that filters "
@@ -216,18 +208,15 @@ def independent_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
     return ChainState(convention=Convention.RHO, per_segment=vectors)
 
 
-def interdependent_accumulate(
-    robot: RobotSpec, rho_per_seg, l_per_seg=None
-) -> ChainState:
+def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:
     """Accumulate per-segment displacements into coupled joint lengths.
 
-    q^1 = l^1*ones - rho^1, then q^j = l^j*ones - rho^j + q^(j-1).
+    q^1 = l^1*ones - rho^1, then q^j = l^j*ones - rho^j + q^(j-1), with
+    the segment lengths l^j of the robot description.
 
     Args:
         robot: interdependent robot description.
         rho_per_seg: one displacement vector per segment.
-        l_per_seg: segment lengths; defaults to the lengths in the
-            robot description.
 
     Raises:
         ConventionMismatch, ArrangementMismatch, FilterPropertyUnavailable,
@@ -235,31 +224,22 @@ def interdependent_accumulate(
     """
     pair = _shared_pair(robot)
     rho = [_as_vector(r, pair.n, f"segment {j} rho") for j, r in enumerate(rho_per_seg)]
-    return _accumulate(robot, rho, l_per_seg)
+    return _accumulate(robot, rho)
 
 
-def _accumulate(robot: RobotSpec, rho_per_seg: list[np.ndarray], l_per_seg) -> ChainState:
-    """:func:`interdependent_accumulate` on length-n vectors.
+def _accumulate(robot: RobotSpec, rho_per_seg: list[np.ndarray]) -> ChainState:
+    """:func:`interdependent_accumulate` on finite length-n vectors.
 
     One running sum down the stacked (m, n) array: row j is
     l^j - rho^j + q^(j-1), added in the order of the recurrence, so
     the result is that of the recurrence bit for bit. Adding +0.0
     turns a -0.0 into +0.0, as the recurrence's start from zeros does.
-    A non-finite vector is refused by the ChainState that holds the
-    result.
+    A sum that overflows is refused by the ChainState that holds it.
     """
-    if l_per_seg is None:
-        l_per_seg = [seg.length for seg in robot.segments]
-    lengths = np.array([float(l) for l in l_per_seg])
-    if len(lengths) == len(rho_per_seg) == len(robot.segments):
-        q = (lengths[:, None] - np.array(rho_per_seg)).cumsum(axis=0) + 0.0
-        return ChainState(convention=Convention.Q, per_segment=tuple(q))
-    # A non-finite vector (an overflowing reconstruction) is reported
-    # before a count mismatch.
-    for j, rho in enumerate(rho_per_seg):
-        _as_vector(rho, name=f"segment {j} rho")
     _check_segment_count(robot, len(rho_per_seg))
-    raise DimensionMismatch(f"got {len(lengths)} lengths for {len(rho_per_seg)} segments")
+    lengths = np.array([seg.length for seg in robot.segments])
+    q = (lengths[:, None] - np.array(rho_per_seg)).cumsum(axis=0) + 0.0
+    return ChainState(convention=Convention.Q, per_segment=tuple(q))
 
 
 def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
@@ -292,9 +272,7 @@ def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
     return ChainClarke(per_segment=tuple(out))
 
 
-def interdependent_inverse(
-    robot: RobotSpec, cc: ChainClarke, l_per_seg=None
-) -> ChainState:
+def interdependent_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
     """Coupled joint lengths realizing given per-segment Clarke coordinates.
 
     Reconstructs each segment's displacement vector, then accumulates.
@@ -303,6 +281,7 @@ def interdependent_inverse(
     Raises:
         ConventionMismatch, ArrangementMismatch, FilterPropertyUnavailable,
         DimensionMismatch: see :func:`interdependent_accumulate`.
+        DomainError: a reconstruction overflows.
     """
     pair = _shared_pair(robot)
-    return _accumulate(robot, [inverse(pair, c) for c in cc.per_segment], l_per_seg)
+    return _accumulate(robot, [inverse(pair, c) for c in cc.per_segment])

@@ -68,13 +68,6 @@ class ClarkeCoordinates:
     def as_array(self) -> np.ndarray:
         return np.array([self.rho_re, self.rho_im])
 
-    @classmethod
-    def from_array(cls, cc: np.ndarray) -> ClarkeCoordinates:
-        cc = np.asarray(cc, dtype=float)
-        if cc.shape != (2,):
-            raise DimensionMismatch(f"Clarke coordinates must be a 2-vector, got shape {cc.shape}")
-        return cls(float(cc[0]), float(cc[1]))
-
 
 @dataclass(frozen=True)
 class DisplacementCheck:
@@ -121,11 +114,16 @@ def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {out.shape}")
     if n is not None:
         _check_length(out, n, name)
+    return _check_finite(out, name)
+
+
+def _check_finite(vector: np.ndarray, name: str) -> np.ndarray:
+    """A 1-D vector, refused with DomainError if any entry is NaN or infinite."""
     # count_nonzero is a plain C call, about half the cost of .all()
     # on the short vectors of a control loop.
-    if np.count_nonzero(np.isfinite(out)) != out.shape[0]:
+    if np.count_nonzero(np.isfinite(vector)) != vector.shape[0]:
         raise DomainError(f"{name} must be finite")
-    return out
+    return vector
 
 
 def _check_length(vector: np.ndarray, n: int, name: str) -> None:
@@ -218,8 +216,12 @@ def _forward(pair: ClarkePair, rho: np.ndarray) -> ClarkeCoordinates:
 
 
 def inverse(pair: ClarkePair, cc: ClarkeCoordinates) -> np.ndarray:
-    """Reconstruct the on-manifold displacement vector (rho = mp_inv @ cc)."""
-    return pair.mp_inv @ cc.as_array()
+    """Reconstruct the on-manifold displacement vector (rho = mp_inv @ cc).
+
+    Raises:
+        DomainError: if the reconstruction overflows.
+    """
+    return _check_finite(pair.mp_inv @ cc.as_array(), "reconstructed rho")
 
 
 def project(pair: ClarkePair, rho) -> np.ndarray:
@@ -231,10 +233,11 @@ def project(pair: ClarkePair, rho) -> np.ndarray:
 
     Raises:
         DimensionMismatch: if rho does not have length n.
-        DomainError: if rho has a non-finite entry.
+        DomainError: if rho has a non-finite entry, or the projection
+            overflows.
     """
     rho = _as_vector(rho, pair.n, "rho")
-    return pair.projector @ rho
+    return _check_finite(pair.projector @ rho, "projected rho")
 
 
 def validate_displacement(

@@ -214,6 +214,27 @@ def arrangements_match(a: JointArrangement, b: JointArrangement) -> bool:
     return a.n == b.n and _angles_match(a.psi, b.psi)
 
 
+def interdependent_violations(segments: tuple[SegmentSpec, ...]) -> list[Violation]:
+    """Violations of the interdependent rule: type-0 segments on one
+    aligned arrangement.
+
+    Every segment must share segment 0's joint count and angles, since
+    joint lengths are added entry by entry, which requires aligned
+    routing; and every segment must be bending-only (type 0), since
+    length/twist joints have no defined composition rule across a
+    shared actuation path. Arrangement violations are listed first.
+    """
+    return [
+        Violation(j, "joints", "arrangement mismatch with segment 0")
+        for j, seg in enumerate(segments[1:], start=1)
+        if not arrangements_match(segments[0].arrangement, seg.arrangement)
+    ] + [
+        Violation(j, "type", "interdependent coupling supports only type-0 segments")
+        for j, seg in enumerate(segments)
+        if seg.seg_type is not SegmentType.TYPE0
+    ]
+
+
 def validate_robot(spec: RobotSpec) -> list[Violation]:
     """Check every robot-description invariant.
 
@@ -225,12 +246,7 @@ def validate_robot(spec: RobotSpec) -> list[Violation]:
       * at least one segment;
       * every radial distance strictly positive;
       * every segment length strictly positive;
-      * interdependent coupling: all segments share the joint count and
-        the angle list element-wise (joint lengths are added entry by
-        entry, which requires aligned routing);
-      * interdependent coupling: only bending-only (type-0) segments,
-        since length/twist joints have no defined composition rule
-        across a shared actuation path.
+      * interdependent coupling: :func:`interdependent_violations`.
     """
     violations: list[Violation] = []
     if len(spec.segments) == 0:
@@ -247,20 +263,5 @@ def validate_robot(spec: RobotSpec) -> list[Violation]:
             violations.append(Violation(j, "length", "non-positive segment length"))
 
     if spec.coupling is Coupling.INTERDEPENDENT:
-        first = spec.segments[0].arrangement
-        for j, seg in enumerate(spec.segments[1:], start=1):
-            if not arrangements_match(first, seg.arrangement):
-                violations.append(
-                    Violation(j, "joints", "arrangement mismatch with segment 0")
-                )
-        for j, seg in enumerate(spec.segments):
-            if seg.seg_type is not SegmentType.TYPE0:
-                violations.append(
-                    Violation(
-                        j,
-                        "type",
-                        "interdependent coupling supports only type-0 segments",
-                    )
-                )
-
+        violations += interdependent_violations(spec.segments)
     return violations

@@ -234,23 +234,6 @@ def helical_offset(alpha: float, d: float, l: float) -> float:
     return a * a / (math.hypot(a, l) + l)
 
 
-def type3_forward(pair: ClarkePair, q, beta: float, alpha: float) -> ExtendedClarkeState:
-    """Type-III forward map on joint lengths: cc = -mp @ q, beta and alpha unchanged.
-
-    q is expected to follow q_i = (l + delta_alpha) - rho_i; the twist
-    enters q only as an additive constant, which the transform filters
-    out, so cc depends on q alone — never on alpha.
-
-    Raises:
-        FilterPropertyUnavailable: if pair.filter_ok is false; without
-            the filter property the constant would leak into cc.
-        DimensionMismatch: wrong q length.
-    """
-    _require_filter(pair)
-    q = _as_vector(q, pair.n, "q")
-    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta, alpha=alpha)
-
-
 def type3_forward_from_q(
     pair: ClarkePair,
     q,

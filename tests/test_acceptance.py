@@ -20,6 +20,7 @@ from dacr import (
     Coupling,
     DegenerateArrangement,
     JointArrangement,
+    JointState,
     RobotSpec,
     SegmentSpec,
     SegmentType,
@@ -34,9 +35,9 @@ from dacr import (
     inverse,
     make_symmetric_arrangement,
     recover_length,
+    segment_forward,
     type1_forward_from_q,
     type1_inverse_to_q,
-    type3_forward,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,10 +172,15 @@ def test_criterion_08_twist_immunity(acceptance_report):
             pair = build_pair(make_symmetric_arrangement(n, d))
             beta = float(rng.uniform(1.0, 50.0))
             q = beta - inverse(pair, ClarkeCoordinates(*rng.normal(0.0, 0.1 * beta, 2)))
-            reference = type3_forward(pair, q, beta, 0.0).cc
+            seg = SegmentSpec(pair.arrangement, beta, SegmentType.TYPE3)
+
+            def cc(alpha):
+                state = JointState(Convention.Q, q, beta=beta, alpha=alpha)
+                return segment_forward(seg, pair, state).cc
+
+            reference = cc(0.0)
             for _ in range(20):
-                alpha = float(rng.uniform(-np.pi, np.pi))
-                assert type3_forward(pair, q, beta, alpha).cc == reference
+                assert cc(float(rng.uniform(-np.pi, np.pi))) == reference
         # 3-4-5 case: alpha*d = 3 with beta = 4 adds exactly 1
         for d in (10.0, 2.0, 0.5):
             assert helical_offset(3.0 / d, d, 4.0) == 1.0
@@ -187,20 +193,24 @@ def test_criterion_09_chain_consistency(acceptance_report):
             arr = make_symmetric_arrangement(int(rng.integers(3, 7)),
                                              float(rng.uniform(0.5, 20.0)))
             pair = build_pair(arr)
-            robot = RobotSpec(
-                segments=tuple(
-                    SegmentSpec(arrangement=arr, length=float(l), seg_type=SegmentType.TYPE0)
-                    for l in rng.uniform(5.0, 50.0, m)
-                ),
-                coupling=Coupling.INTERDEPENDENT,
-            )
+
+            def chain(lengths):
+                return RobotSpec(
+                    segments=tuple(
+                        SegmentSpec(arrangement=arr, length=float(l), seg_type=SegmentType.TYPE0)
+                        for l in lengths
+                    ),
+                    coupling=Coupling.INTERDEPENDENT,
+                )
+
+            robot = chain(rng.uniform(5.0, 50.0, m))
             rhos = [inverse(pair, ClarkeCoordinates(*rng.normal(0.0, 3.0, 2)))
                     for _ in range(m)]
             expected = [forward(pair, rho) for rho in rhos]
 
-            for lengths in (None, list(rng.uniform(1.0, 500.0, m))):
-                q = interdependent_accumulate(robot, rhos, lengths)
-                ccs = interdependent_forward(robot, q).per_segment
+            for rob in (robot, chain(rng.uniform(1.0, 500.0, m))):
+                q = interdependent_accumulate(rob, rhos)
+                ccs = interdependent_forward(rob, q).per_segment
                 for cc, ref in zip(ccs, expected):
                     assert abs(cc.rho_re - ref.rho_re) < 1e-9
                     assert abs(cc.rho_im - ref.rho_im) < 1e-9

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacr import (
     ArcParameters,
@@ -101,6 +103,14 @@ class TestClarkeToArc:
     def test_domain_errors(self, d, l):
         with pytest.raises(DomainError):
             clarke_to_arc(ClarkeCoordinates(1.0, 0.0), d=d, l=l)
+
+    def test_underflowing_d_times_l_is_domain_error(self):
+        with pytest.raises(DomainError, match="underflows"):
+            clarke_to_arc(ClarkeCoordinates(2.0, 0.0), d=1e-308, l=1e-300)
+
+    def test_overflowing_curvature_is_domain_error(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            clarke_to_arc(ClarkeCoordinates(1e300, 0.0), d=1e-10, l=1e-10)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(31)
@@ -202,7 +212,58 @@ class TestSampleBackbone:
             else:
                 assert reach < 80.0
 
+    def test_near_straight_tip(self):
+        # The cancelling (1 - cos(kappa s)) / kappa put this tip at x = 0.
+        tip = sample_backbone(ArcParameters(kappa=1e-12, theta=0.0, l=100.0), 3).points[-1]
+        assert tip[0] == pytest.approx(5e-9, rel=1e-14)
+        assert tip[2] == 100.0
+
     @pytest.mark.parametrize("points", [0, 1, -3])
     def test_needs_two_points(self, points):
         with pytest.raises(DomainError):
             sample_backbone(BENT, points=points)
+
+
+ANGLES = st.floats(0.0, 2.0 * np.pi, exclude_max=True)
+LENGTHS = st.floats(1e-3, 1e3)
+
+
+class TestSampleBackboneAccuracy:
+    @staticmethod
+    def cancelling(arc, s):
+        """The previous formula, kept as the reference away from kappa = 0."""
+        radial = (1.0 - np.cos(arc.kappa * s)) / arc.kappa
+        return np.column_stack((
+            radial * np.cos(arc.theta), radial * np.sin(arc.theta),
+            np.sin(arc.kappa * s) / arc.kappa,
+        ))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(phi=st.floats(1e-12, 1e-3), theta=ANGLES, l=LENGTHS, points=st.integers(2, 40))
+    def test_matches_series_near_straight(self, phi, theta, l, points):
+        arc = ArcParameters(kappa=phi / l, theta=theta, l=l)
+        poly = sample_backbone(arc, points)
+        t = arc.kappa * poly.s
+        radial = arc.kappa * poly.s**2 / 2 * (1 - t**2 / 12 + t**4 / 360)
+        z = poly.s * (1 - t**2 / 6 + t**4 / 120)
+        bound = 1e-14 * radial
+        assert np.all(np.abs(poly.points[:, 0] - radial * np.cos(arc.theta)) <= bound)
+        assert np.all(np.abs(poly.points[:, 1] - radial * np.sin(arc.theta)) <= bound)
+        assert np.all(np.abs(poly.points[:, 2] - z) <= 1e-14 * z)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(phi=st.floats(1e-2, np.pi), theta=ANGLES, l=LENGTHS, points=st.integers(2, 40))
+    def test_agrees_with_cancelling_formula(self, phi, theta, l, points):
+        arc = ArcParameters(kappa=phi / l, theta=theta, l=l)
+        poly = sample_backbone(arc, points)
+        bent = arc.kappa * poly.s >= 1e-2
+        want = self.cancelling(arc, poly.s)[bent]
+        error = np.linalg.norm(poly.points[bent] - want, axis=1)
+        assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(theta=ANGLES, l=LENGTHS, points=st.integers(2, 40))
+    def test_straight_is_the_z_axis_bit_for_bit(self, theta, l, points):
+        poly = sample_backbone(ArcParameters(kappa=0.0, theta=theta, l=l), points)
+        zeros = np.zeros_like(poly.s)
+        assert poly.points.tobytes() == np.column_stack((zeros, zeros, poly.s)).tobytes()

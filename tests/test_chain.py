@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dacr.chain as chain_module
+import dacr.model as model_module
 from dacr import (
     ArrangementMismatch,
     ChainClarke,
@@ -35,6 +36,7 @@ from dacr import (
     inverse,
     make_symmetric_arrangement,
     validate_displacement,
+    validate_robot,
 )
 
 ARR3 = make_symmetric_arrangement(3, 10.0)
@@ -88,15 +90,9 @@ class TestAccumulate:
 
     def test_explicit_lengths_override_robot(self):
         state = interdependent_accumulate(
-            interdependent(), [np.zeros(3), np.zeros(3)], l_per_seg=[1.0, 2.0]
+            interdependent(2, (1.0, 2.0)), [np.zeros(3), np.zeros(3)]
         )
         np.testing.assert_array_equal(state.per_segment[1], [3.0, 3.0, 3.0])
-
-    def test_length_count_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            interdependent_accumulate(
-                interdependent(), [np.zeros(3), np.zeros(3)], l_per_seg=[1.0]
-            )
 
 
 class TestInterdependentForward:
@@ -151,9 +147,10 @@ class TestInterdependentForward:
 
     def test_output_invariant_to_segment_lengths(self):
         rhos = [[2.0, -1.0, -1.0], [-2.0, 1.0, 1.0]]
-        rob = interdependent()
-        a = interdependent_forward(rob, interdependent_accumulate(rob, rhos, [10.0, 20.0]))
-        b = interdependent_forward(rob, interdependent_accumulate(rob, rhos, [500.0, 0.25]))
+        a, b = (
+            interdependent_forward(rob, interdependent_accumulate(rob, rhos))
+            for rob in (interdependent(2, (10.0, 20.0)), interdependent(2, (500.0, 0.25)))
+        )
         for ca, cb in zip(a.per_segment, b.per_segment):
             assert ca.rho_re == pytest.approx(cb.rho_re, abs=1e-9)
             assert ca.rho_im == pytest.approx(cb.rho_im, abs=1e-9)
@@ -199,18 +196,16 @@ class TestInterdependentForward:
 class TestInterdependentInverse:
     def test_worked_example(self):
         state = interdependent_inverse(
-            interdependent(),
+            interdependent(2, (10.0, 20.0)),
             ChainClarke((ClarkeCoordinates(2.0, 0.0), ClarkeCoordinates(-2.0, 0.0))),
-            l_per_seg=[10.0, 20.0],
         )
         np.testing.assert_allclose(state.per_segment[0], [8.0, 11.0, 11.0], atol=1e-12)
         np.testing.assert_allclose(state.per_segment[1], [30.0, 30.0, 30.0], atol=1e-12)
 
     def test_zero_coordinates_give_constant_vectors(self):
         state = interdependent_inverse(
-            interdependent(),
+            interdependent(2, (3.0, 4.0)),
             ChainClarke((ClarkeCoordinates(0.0, 0.0), ClarkeCoordinates(0.0, 0.0))),
-            l_per_seg=[3.0, 4.0],
         )
         np.testing.assert_array_equal(state.per_segment[0], [3.0, 3.0, 3.0])
         np.testing.assert_array_equal(state.per_segment[1], [7.0, 7.0, 7.0])
@@ -221,14 +216,14 @@ class TestInterdependentInverse:
         )
         np.testing.assert_allclose(state.per_segment[0], [98.0, 101.0, 101.0], atol=1e-12)
 
-    @pytest.mark.parametrize("m, lengths", [(1, None), (2, None), (2, [1.0])],
+    @pytest.mark.parametrize("m, lengths", [(1, (10.0,)), (2, (10.0, 20.0)), (2, (1.0,))],
                              ids=["state-count", "state-count-2", "length-count"])
     def test_overflow_reported_before_count_mismatch(self, m, lengths):
         # Finite coordinates whose reconstruction overflows, on a chain
         # whose counts disagree as well: the overflow is reported.
         cc = ChainClarke((ClarkeCoordinates(-1.7e308, 1.7e308),) * 2)
         with pytest.raises(DomainError, match="finite"), np.errstate(all="ignore"):
-            interdependent_inverse(interdependent(m), cc, l_per_seg=lengths)
+            interdependent_inverse(interdependent(m, lengths), cc)
 
     def test_roundtrip_with_forward(self):
         rng = np.random.default_rng(29)
@@ -345,13 +340,13 @@ class TestPairsBuiltOnce:
     @pytest.mark.parametrize("m", [2, 4, 9])
     def test_interdependent_inverse_checks_chain_once(self, monkeypatch, m):
         calls = []
-        original = chain_module.arrangements_match
+        original = model_module.arrangements_match
 
         def counted(a, b):
             calls.append((a, b))
             return original(a, b)
 
-        monkeypatch.setattr(chain_module, "arrangements_match", counted)
+        monkeypatch.setattr(model_module, "arrangements_match", counted)
         rob = robot([make_symmetric_arrangement(3, 10.0)] * m, [1.0] * m,
                     Coupling.INTERDEPENDENT)
         cc = ChainClarke(tuple(ClarkeCoordinates(1.0, 0.5) for _ in range(m)))
@@ -366,13 +361,13 @@ class TestChainMemo:
     @pytest.fixture
     def chain_checks(self, monkeypatch):
         calls = []
-        original = chain_module.arrangements_match
+        original = model_module.arrangements_match
 
         def counted(a, b):
             calls.append((a, b))
             return original(a, b)
 
-        monkeypatch.setattr(chain_module, "arrangements_match", counted)
+        monkeypatch.setattr(model_module, "arrangements_match", counted)
         return calls
 
     def test_same_pair_on_every_call(self, chain_checks):
@@ -417,6 +412,47 @@ class TestChainMemo:
         for name in ("mp", "mp_inv", "projector"):
             assert getattr(fresh, name).tobytes() == getattr(memo, name).tobytes()
         assert fresh.filter_ok == memo.filter_ok
+
+
+class TestInterdependentRule:
+    """The chain check and validate_robot apply one rule, written in model."""
+
+    ROTATED3 = JointArrangement(psi=0.1 + 2 * np.pi / 3 * np.arange(3), d=np.full(3, 10.0))
+
+    @staticmethod
+    def reference_error(rob):
+        """The chain check as it was written before it moved to model:
+        segment types first, then arrangements against segment 0."""
+        if any(seg.seg_type is not SegmentType.TYPE0 for seg in rob.segments):
+            return ConventionMismatch
+        first = rob.segments[0].arrangement
+        if any(seg.arrangement.n != first.n
+               or not np.allclose(seg.arrangement.psi, first.psi, rtol=0.0, atol=1e-9)
+               for seg in rob.segments[1:]):
+            return ArrangementMismatch
+        return None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(segments=st.lists(
+        st.tuples(st.sampled_from([ARR3, ARR4, ROTATED3]), st.sampled_from(list(SegmentType))),
+        min_size=1, max_size=4))
+    def test_same_error_class_as_before(self, segments):
+        rob = RobotSpec(tuple(SegmentSpec(a, 1.0, t) for a, t in segments),
+                        Coupling.INTERDEPENDENT)
+        want = self.reference_error(rob)
+        if want is None:
+            assert chain_module._shared_pair(rob) is build_pair(rob.segments[0].arrangement)
+        else:
+            with pytest.raises(want):
+                chain_module._shared_pair(rob)
+        assert bool(validate_robot(rob)) == (want is not None)
+
+    def test_type_reported_before_arrangement(self):
+        rob = RobotSpec((SegmentSpec(ARR3, 1.0), SegmentSpec(ARR4, 1.0, SegmentType.TYPE2)),
+                        Coupling.INTERDEPENDENT)
+        with pytest.raises(ConventionMismatch, match="segment 1: .*type-0"):
+            chain_module._shared_pair(rob)
+        assert [v.field for v in validate_robot(rob)] == ["joints", "type"]
 
 
 class TestChainSingleValidation:
@@ -517,10 +553,10 @@ class TestChainKernelsMatchReference:
     @given(n=st.integers(3, 8), m=st.integers(1, 6), data=st.data())
     def test_accumulate_and_forward(self, n, m, data):
         arr = make_symmetric_arrangement(n, 10.0)
-        rob = robot([arr] * m, [1.0] * m, Coupling.INTERDEPENDENT)
         rho = [data.draw(st.lists(FINITE, min_size=n, max_size=n)) for _ in range(m)]
         lengths = data.draw(st.lists(FINITE, min_size=m, max_size=m))
-        q = interdependent_accumulate(rob, rho, lengths)
+        rob = robot([arr] * m, lengths, Coupling.INTERDEPENDENT)
+        q = interdependent_accumulate(rob, rho)
         want = self.reference_accumulate(rho, lengths)
         assert as_bits(q.per_segment) == as_bits(want)
 

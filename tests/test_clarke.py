@@ -230,6 +230,22 @@ class TestNonFinite:
         with pytest.raises(DomainError), np.errstate(all="ignore"):
             forward(build_pair(SYM3), [1.5e308, -1.5e308, -1.5e308])
 
+    def test_overflowing_inverse_raises(self):
+        # Finite coordinates whose reconstruction overflows.
+        with pytest.raises(DomainError, match="finite"), np.errstate(all="ignore"):
+            inverse(build_pair(SYM3), ClarkeCoordinates(-1.7e308, 1.7e308))
+
+    def test_inverse_with_finite_reconstruction_is_kept(self):
+        # |re| + |im| overflows, yet every reconstructed entry is finite.
+        with np.errstate(all="raise"):
+            rho = inverse(build_pair(SYM3), ClarkeCoordinates(1.2e308, 1.2e308))
+        assert np.count_nonzero(np.isfinite(rho)) == 3
+
+    def test_overflowing_projection_raises(self):
+        # Finite joint values whose projection overflows.
+        with pytest.raises(DomainError, match="finite"), np.errstate(all="ignore"):
+            project(build_pair(SYM3), [1.5e308, -1.5e308, -1.5e308])
+
 
 class TestInverse:
     def test_worked_example(self):
@@ -330,13 +346,3 @@ class TestResidualKernel:
         check = validate_displacement(pair, rho)
         assert bits(check.residual_norm) == bits(reference)
         assert check.valid == (reference <= 1e-9)
-
-
-class TestClarkeCoordinates:
-    def test_array_roundtrip(self):
-        cc = ClarkeCoordinates(1.5, -2.5)
-        assert ClarkeCoordinates.from_array(cc.as_array()) == cc
-
-    def test_from_array_rejects_wrong_shape(self):
-        with pytest.raises(DimensionMismatch):
-            ClarkeCoordinates.from_array(np.zeros(3))

@@ -494,6 +494,15 @@ class TestExitCodes:
         assert "finite" in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_code_1_underflowing_d_times_l(self, write):
+        cc = write("cc.json", {"cc": [2.0, 0.0]})
+        run = subprocess.run([sys.executable, "-m", "dacr", "arc", "from-clarke", "--input", cc,
+                              "--d", "1e-308", "--l", "1e-300"], capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert "underflows" in run.stderr
+        assert "Traceback" not in run.stderr
+
     def test_code_1_overflowing_beta(self, write):
         robot = write("robot.json", {"segments": [
             {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},

@@ -9,8 +9,10 @@ import numpy as np
 
 from dacr import (
     ClarkeCoordinates,
+    Convention,
     Coupling,
     JointArrangement,
+    JointState,
     RobotSpec,
     SegmentSpec,
     SegmentType,
@@ -23,9 +25,9 @@ from dacr import (
     inverse,
     make_symmetric_arrangement,
     project,
+    segment_forward,
     type1_forward_from_q,
     type1_inverse_to_q,
-    type3_forward,
     validate_displacement,
 )
 
@@ -154,10 +156,15 @@ class TestSegmentInvariants:
             pair = build_pair(random_symmetric(rng))
             beta = float(rng.uniform(1.0, 50.0))
             q = beta - inverse(pair, random_cc(rng, scale=0.2 * beta))
-            reference = type3_forward(pair, q, beta, 0.0).cc
+            seg = SegmentSpec(pair.arrangement, beta, SegmentType.TYPE3)
+
+            def cc(alpha):
+                state = JointState(Convention.Q, q, beta=beta, alpha=alpha)
+                return segment_forward(seg, pair, state).cc
+
+            reference = cc(0.0)
             for _ in range(5):
-                twisted = type3_forward(pair, q, beta, float(rng.uniform(-2.0, 2.0))).cc
-                assert twisted == reference
+                assert cc(float(rng.uniform(-2.0, 2.0))) == reference
 
 
 class TestChainInvariants:
@@ -176,16 +183,17 @@ class TestChainInvariants:
         for _ in range(100):
             arr = random_symmetric(rng)
             m = int(rng.integers(1, 7))
-            robot = self.chain_robot(arr, rng.uniform(5.0, 50.0, m))
+            lengths = rng.uniform(5.0, 50.0, m)
             pair = build_pair(arr)
             rhos = [inverse(pair, random_cc(rng)) for _ in range(m)]
 
             def ccs_with(lengths):
-                q = interdependent_accumulate(robot, rhos, lengths)
+                robot = self.chain_robot(arr, lengths)
+                q = interdependent_accumulate(robot, rhos)
                 return interdependent_forward(robot, q).per_segment
 
-            base = ccs_with(None)
-            other = ccs_with(list(rng.uniform(1.0, 500.0, m)))
+            base = ccs_with(lengths)
+            other = ccs_with(rng.uniform(1.0, 500.0, m))
             for a, b in zip(base, other):
                 assert abs(a.rho_re - b.rho_re) < 1e-6
                 assert abs(a.rho_im - b.rho_im) < 1e-6

@@ -32,7 +32,6 @@ from dacr import (
     segment_inverse,
     type1_forward_from_q,
     type1_inverse_to_q,
-    type3_forward,
     type3_forward_from_q,
 )
 from dacr.segments import OFF_MANIFOLD_REL
@@ -48,6 +47,13 @@ def rho_forward(pair, seg_type, rho, beta=None, alpha=None):
     """segment_forward on a displacement state of the given segment type."""
     seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=seg_type)
     state = JointState(convention=Convention.RHO, values=rho, beta=beta, alpha=alpha)
+    return segment_forward(seg, pair, state)
+
+
+def type3_q_forward(pair, q, beta, alpha):
+    """segment_forward on a type-3 joint-length state that carries beta."""
+    seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=SegmentType.TYPE3)
+    state = JointState(convention=Convention.Q, values=q, beta=beta, alpha=alpha)
     return segment_forward(seg, pair, state)
 
 
@@ -240,28 +246,28 @@ class TestHelicalOffset:
 class TestTypeThree:
     def test_forward_worked_example(self):
         # l=4, alpha*d=3 gives offset 1, so q = 5 - rho with rho=[2,-1,-1].
-        state = type3_forward(PAIR3, [3.0, 6.0, 6.0], beta=4.0, alpha=0.3)
+        state = type3_q_forward(PAIR3, [3.0, 6.0, 6.0], beta=4.0, alpha=0.3)
         assert state.cc.rho_re == pytest.approx(2.0, abs=1e-12)
         assert state.cc.rho_im == pytest.approx(0.0, abs=1e-12)
         assert state.beta == 4.0
         assert state.alpha == 0.3
 
     def test_forward_straight_twisted(self):
-        state = type3_forward(PAIR3, [5.0, 5.0, 5.0], beta=4.0, alpha=1.2)
+        state = type3_q_forward(PAIR3, [5.0, 5.0, 5.0], beta=4.0, alpha=1.2)
         assert state.cc.rho_re == pytest.approx(0.0, abs=1e-12)
         assert state.cc.rho_im == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_twist_reduces_to_type1_on_q(self):
         q = [98.0, 101.0, 101.0]
-        with_twist = type3_forward(PAIR3, q, beta=100.0, alpha=0.0)
+        with_twist = type3_q_forward(PAIR3, q, beta=100.0, alpha=0.0)
         plain = type1_forward_from_q(PAIR3, q)
         assert with_twist.cc == plain.cc
 
     def test_cc_is_bitwise_independent_of_alpha(self):
         q = [3.0, 6.0, 6.0]
-        reference = type3_forward(PAIR3, q, beta=4.0, alpha=0.0).cc
+        reference = type3_q_forward(PAIR3, q, beta=4.0, alpha=0.0).cc
         for alpha in np.random.default_rng(3).uniform(-np.pi, np.pi, 50):
-            assert type3_forward(PAIR3, q, beta=4.0, alpha=float(alpha)).cc == reference
+            assert type3_q_forward(PAIR3, q, beta=4.0, alpha=float(alpha)).cc == reference
 
     def test_forward_from_q_worked_example(self):
         state = type3_forward_from_q(PAIR3, [3.0, 6.0, 6.0], alpha=0.3, d=10.0)
@@ -277,7 +283,7 @@ class TestTypeThree:
     def test_compensation_does_not_change_cc(self):
         q = [3.0, 6.0, 6.0]
         compensated = type3_forward_from_q(PAIR3, q, alpha=0.3, d=10.0)
-        raw = type3_forward(PAIR3, q, beta=0.0, alpha=0.3)
+        raw = type3_q_forward(PAIR3, q, beta=0.0, alpha=0.3)
         assert compensated.cc == raw.cc
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -344,9 +350,9 @@ class TestTypeThree:
     def test_generalized_offset_immunity(self):
         # Any scalar added uniformly to q leaves the coordinates alone.
         q = np.array([3.0, 6.0, 6.0])
-        base = type3_forward(PAIR3, q, beta=4.0, alpha=0.3).cc
+        base = type3_q_forward(PAIR3, q, beta=4.0, alpha=0.3).cc
         for delta in (0.1, 17.0, -250.0, 1e3):
-            shifted = type3_forward(PAIR3, q + delta, beta=4.0, alpha=0.3).cc
+            shifted = type3_q_forward(PAIR3, q + delta, beta=4.0, alpha=0.3).cc
             assert shifted.rho_re == pytest.approx(base.rho_re, abs=1e-9)
             assert shifted.rho_im == pytest.approx(base.rho_im, abs=1e-9)
 
@@ -365,7 +371,7 @@ class TestTypeTwo:
     def test_matches_type3_with_length_dropped(self):
         rho = [2.0, -1.0, -1.0]
         two = rho_forward(PAIR3, SegmentType.TYPE2, rho, alpha=0.3)
-        three = type3_forward(PAIR3, joint_lengths(4.0 + 1.0, rho), beta=4.0, alpha=0.3)
+        three = type3_q_forward(PAIR3, joint_lengths(4.0 + 1.0, rho), beta=4.0, alpha=0.3)
         assert two.cc.rho_re == pytest.approx(three.cc.rho_re, abs=1e-12)
         assert two.cc.rho_im == pytest.approx(three.cc.rho_im, abs=1e-12)
         assert two.alpha == three.alpha
@@ -399,14 +405,12 @@ class TestSegmentDispatch:
         state = JointState(convention=Convention.Q, values=q, beta=length, alpha=0.3)
         with pytest.raises(FilterPropertyUnavailable):
             segment_forward(self.seg(ASYM, SegmentType.TYPE3), ASYM, state)
-        with pytest.raises(FilterPropertyUnavailable):
-            type3_forward(ASYM, q, beta=length, alpha=0.3)
 
     def test_type3_q_without_beta_recovers_it(self):
         state = JointState(convention=Convention.Q, values=[3.0, 6.0, 6.0], alpha=0.3)
         out = segment_forward(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
         assert out.beta == pytest.approx(4.0, rel=1e-12)
-        assert out.cc == type3_forward(PAIR3, [3.0, 6.0, 6.0], 4.0, 0.3).cc
+        assert out.cc == type3_q_forward(PAIR3, [3.0, 6.0, 6.0], 4.0, 0.3).cc
 
     @pytest.mark.parametrize(
         "seg_type, beta, alpha",
@@ -500,10 +504,6 @@ class TestSingleValidation:
 
     def test_type3_forward_from_q(self, validations):
         type3_forward_from_q(PAIR3, self.Q3, 0.3, 10.0)
-        assert validations == ["q"]
-
-    def test_type3_forward(self, validations):
-        type3_forward(PAIR3, self.Q3, 4.0, 0.3)
         assert validations == ["q"]
 
     @pytest.mark.parametrize(
