@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import ClarkeCoordinates, ClarkePair
+from .clarke import ClarkeCoordinates, ClarkePair, inverse
 from .errors import DomainError
-from .model import _normalize_angles
+from .model import _normalize_angles, _positive
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,11 @@ class ArcParameters:
             carried by theta, not by a sign on kappa).
         theta: bending-plane angle, radians, stored in [0, 2*pi).
         l: segment length, length units, > 0.
-        theta_defined: False for a straight segment, where the bending
-            plane is meaningless and theta is reported as 0 by
-            convention.
     """
 
     kappa: float
     theta: float
     l: float
-    theta_defined: bool = True
 
     def __post_init__(self) -> None:
         kappa, theta, l = float(self.kappa), float(self.theta), float(self.l)
@@ -56,12 +52,16 @@ class ArcParameters:
                 raise DomainError(f"arc parameter {name} is non-finite: {value}")
         if not (kappa >= 0.0):
             raise DomainError(f"curvature must be non-negative, got {kappa}")
-        if not (l > 0.0):
-            raise DomainError(f"segment length must be positive, got {l}")
+        _positive("segment length", l)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "theta", _normalize_angles(theta))
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "theta_defined", bool(self.theta_defined))
+
+    @property
+    def theta_defined(self) -> bool:
+        """False for a straight segment (kappa = 0), where the bending
+        plane is meaningless and theta is 0 by convention."""
+        return self.kappa > 0.0
 
     @property
     def phi(self) -> float:
@@ -91,11 +91,9 @@ def arc_to_clarke(arc: ArcParameters, d: float) -> ClarkeCoordinates:
     cc = d * l * kappa * (cos theta, sin theta).
 
     Raises:
-        DomainError: if d <= 0.
+        DomainError: if d <= 0, or the coordinates overflow.
     """
-    if not (d > 0.0):
-        raise DomainError(f"radial distance must be positive, got {d}")
-    magnitude = d * arc.l * arc.kappa
+    magnitude = _positive("radial distance", d) * arc.l * arc.kappa
     return ClarkeCoordinates(
         magnitude * math.cos(arc.theta), magnitude * math.sin(arc.theta)
     )
@@ -107,19 +105,17 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     kappa = |cc| / (d * l), theta = atan2(rho_im, rho_re). The length
     must be supplied: cc only determines the product l * kappa. A zero
     cc is the straight configuration, where theta is undefined and is
-    reported as 0 with theta_defined False.
+    reported as 0 (atan2 would give pi for a negative zero rho_re).
 
     Raises:
         DomainError: if d <= 0 or l <= 0, if d * l underflows to zero,
             or if the curvature overflows.
     """
-    if not (d > 0.0):
-        raise DomainError(f"radial distance must be positive, got {d}")
-    if not (l > 0.0):
-        raise DomainError(f"segment length must be positive, got {l}")
+    _positive("radial distance", d)
+    _positive("segment length", l)
     norm = math.hypot(cc.rho_re, cc.rho_im)
     if norm == 0.0:
-        return ArcParameters(kappa=0.0, theta=0.0, l=float(l), theta_defined=False)
+        return ArcParameters(kappa=0.0, theta=0.0, l=float(l))
     if d * l == 0.0:
         raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
     theta = _normalize_angles(math.atan2(cc.rho_im, cc.rho_re))
@@ -127,20 +123,15 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
 
 
 def arc_to_displacements(pair: ClarkePair, arc: ArcParameters, d: float) -> np.ndarray:
-    """Joint displacements of a constant-curvature segment.
-
-    rho_i = d * l * kappa * cos(theta - psi_i), evaluated directly from
-    the arc parameters; agrees with reconstructing from
-    :func:`arc_to_clarke` through the inverse transform. Physically
-    meaningful when all joints share the radial distance d.
+    """Joint displacements of a constant-curvature segment: the inverse
+    transform of :func:`arc_to_clarke`, rho_i = d * l * kappa *
+    cos(theta - psi_i). Physically meaningful when all joints share the
+    radial distance d.
 
     Raises:
-        DomainError: if d <= 0.
+        DomainError: if d <= 0, or the displacements overflow.
     """
-    if not (d > 0.0):
-        raise DomainError(f"radial distance must be positive, got {d}")
-    magnitude = d * arc.l * arc.kappa
-    return magnitude * np.cos(arc.theta - pair.arrangement.psi)
+    return inverse(pair, arc_to_clarke(arc, d))
 
 
 def sample_backbone(arc: ArcParameters, points: int) -> BackbonePolyline:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clarke import (
-    DISPLACEMENT_TOL,
     ClarkeCoordinates,
     ClarkePair,
     DisplacementCheck,
@@ -39,6 +38,7 @@ from .errors import (
     ArrangementMismatch,
     ConventionMismatch,
     DimensionMismatch,
+    DomainError,
     FilterPropertyUnavailable,
 )
 from .model import Coupling, RobotSpec, interdependent_violations
@@ -88,6 +88,7 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
     Raises:
         ConventionMismatch: robot is not interdependent, or has segments
             with length/twist joints.
+        DomainError: robot has no segments.
         ArrangementMismatch: segments do not share one arrangement.
         FilterPropertyUnavailable: the shared arrangement does not
             filter constant offsets, so the telescoped lengths would
@@ -100,6 +101,8 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
         raise ConventionMismatch(
             "robot couples segments independently; use independent_forward"
         )
+    if not robot.segments:
+        raise DomainError("robot has no segments")
     # Segment types are reported before arrangements.
     faults = sorted(
         interdependent_violations(robot.segments), key=lambda v: v.field == "joints"
@@ -141,10 +144,11 @@ def chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
 
 
 def validate_displacement(
-    robot: RobotSpec, state: ChainState, tol: float = DISPLACEMENT_TOL
+    robot: RobotSpec, state: ChainState, tol: float | None = None
 ) -> tuple[DisplacementCheck, ...]:
     """Check every segment's displacement vector against its own manifold,
-    as :func:`dacr.clarke.validate_displacement` does for one segment.
+    as :func:`dacr.clarke.validate_displacement` does for one segment,
+    with the same default tolerance.
 
     Raises:
         ConventionMismatch: state holds q, not displacements.

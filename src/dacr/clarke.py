@@ -32,20 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArrangement, DimensionMismatch, DomainError
-from .model import JointArrangement
-
-# A 2x2 Gram matrix with determinant below this (relative to its scale,
-# (trace/2)^2) is treated as singular: the joints are collinear through
-# the axis and one bending direction is unobservable.
-GRAM_DEGENERACY_REL = 1e-12
-
-# ``mp @ ones`` below this infinity-norm counts as the offset-filtering
-# property holding; constant vectors added to the joint values are then
-# annihilated by the forward transform.
-FILTER_TOL = 1e-9
-
-# Default residual bound of :func:`validate_displacement`, length units.
-DISPLACEMENT_TOL = 1e-9
+from .model import (
+    DISPLACEMENT_REL,
+    FILTER_TOL,
+    GRAM_DEGENERACY_REL,
+    JointArrangement,
+    _scaled_tol,
+)
 
 
 @dataclass(frozen=True)
@@ -240,9 +233,7 @@ def project(pair: ClarkePair, rho) -> np.ndarray:
     return _check_finite(pair.projector @ rho, "projected rho")
 
 
-def validate_displacement(
-    pair: ClarkePair, rho, tol: float = DISPLACEMENT_TOL
-) -> DisplacementCheck:
+def validate_displacement(pair: ClarkePair, rho, tol: float | None = None) -> DisplacementCheck:
     """Check that a displacement vector lies on the segment's manifold.
 
     The residual is the Euclidean distance between ``rho`` and its
@@ -253,7 +244,8 @@ def validate_displacement(
     Args:
         pair: matrices for the segment's arrangement.
         rho: n candidate displacement values.
-        tol: largest residual accepted as valid, length units.
+        tol: largest residual accepted as valid, length units; defaults
+            to DISPLACEMENT_REL * max(1, max|rho_i|).
 
     Raises:
         DimensionMismatch: if rho does not have length n.
@@ -262,9 +254,15 @@ def validate_displacement(
     return _validate_displacement(pair, _as_vector(rho, pair.n, "rho"), tol)
 
 
-def _validate_displacement(pair: ClarkePair, rho: np.ndarray, tol: float) -> DisplacementCheck:
+def _validate_displacement(pair: ClarkePair, rho: np.ndarray, tol: float | None) -> DisplacementCheck:
     """:func:`validate_displacement` on a validated length-n vector."""
     residual = _residual(pair, rho)
+    if tol is None:
+        # The default bound is at least DISPLACEMENT_REL, so the scale
+        # is computed only for a residual beyond it.
+        tol = DISPLACEMENT_REL
+        if residual > tol:
+            tol = _scaled_tol(DISPLACEMENT_REL, rho)
     return DisplacementCheck(valid=residual <= tol, residual_norm=residual)
 
 

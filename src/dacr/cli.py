@@ -13,6 +13,8 @@ backbones). Exit codes are a stable contract:
     5  arrangement lacks the offset-filtering property required by the
        requested operation
 
+Each code is the ``exit_code`` of the DacrError class raised.
+
 Every command is deterministic; identical inputs produce byte-identical
 outputs.
 """
@@ -36,39 +38,15 @@ from .chain import (
     interdependent_accumulate,
 )
 from .chain import validate_displacement as validate_chain_displacement
-from .clarke import DISPLACEMENT_TOL, ClarkePair, build_pair, project, validate_displacement
-from .errors import (
-    ArrangementMismatch,
-    ConventionMismatch,
-    DacrError,
-    DegenerateArrangement,
-    DimensionMismatch,
-    DomainError,
-    FilterPropertyUnavailable,
-    OffManifold,
-    SchemaError,
-    UnsupportedArrangement,
-)
-from .model import RobotSpec, SegmentSpec, Violation, validate_robot
+from .clarke import ClarkePair, build_pair, project, validate_displacement
+from .errors import ConventionMismatch, DacrError, DimensionMismatch, DomainError, SchemaError
+from .model import DISPLACEMENT_REL, RobotSpec, SegmentSpec, Violation, validate_robot
 from .segments import (
     Convention,
     JointState,
     recover_length,
     segment_forward,
     segment_inverse,
-)
-
-# Most-derived classes first; the first match decides the exit code.
-_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
-    (SchemaError, 2),
-    (DegenerateArrangement, 3),
-    (DimensionMismatch, 4),
-    (ConventionMismatch, 4),
-    (ArrangementMismatch, 4),
-    (UnsupportedArrangement, 4),
-    (FilterPropertyUnavailable, 5),
-    (OffManifold, 1),
-    (DomainError, 1),
 )
 
 # What every handler returns: its result, and the exit code. The result
@@ -117,13 +95,12 @@ def _load_robot(args: argparse.Namespace) -> RobotSpec:
     return robot
 
 
-def _segment_pair(robot: RobotSpec, index: int) -> tuple[SegmentSpec, ClarkePair]:
+def _segment(robot: RobotSpec, index: int) -> SegmentSpec:
     if not (0 <= index < len(robot.segments)):
         raise DimensionMismatch(
             f"segment index {index} out of range for {len(robot.segments)} segment(s)"
         )
-    seg = robot.segments[index]
-    return seg, build_pair(seg.arrangement)
+    return robot.segments[index]
 
 
 def _single_state(
@@ -134,7 +111,7 @@ def _single_state(
     state = io.load_state(args.input)
     if isinstance(state, ChainState) or state.convention is not convention:
         raise ConventionMismatch(f"{what} applies to a single {convention.value} state")
-    return _segment_pair(robot, args.segment)[1], state
+    return build_pair(_segment(robot, args.segment).arrangement), state
 
 
 def _chain_input(
@@ -153,7 +130,7 @@ def _chain_input(
 
 
 def _cmd_matrix(args: argparse.Namespace) -> _Result:
-    _, pair = _segment_pair(_load_robot(args), args.segment)
+    pair = build_pair(_segment(_load_robot(args), args.segment).arrangement)
     if args.format == "json":
         return {
             "mp": pair.mp,
@@ -176,10 +153,10 @@ def _cmd_forward(args: argparse.Namespace) -> _Result:
     state = io.load_state(args.input)
     if isinstance(state, ChainState):
         return io.chain_clarke_dict(chain_forward(robot, state)), 0
-    seg, pair = _segment_pair(robot, args.segment)
+    seg = _segment(robot, args.segment)
     if args.alpha is not None:
         state = replace(state, alpha=args.alpha)
-    return io.clarke_state_dict(segment_forward(seg, pair, state, args.tol)), 0
+    return io.clarke_state_dict(segment_forward(seg, state, args.tol)), 0
 
 
 def _cmd_inverse(args: argparse.Namespace) -> _Result:
@@ -187,10 +164,10 @@ def _cmd_inverse(args: argparse.Namespace) -> _Result:
     state = io.load_clarke(args.input)
     if isinstance(state, ChainClarke):
         return io.chain_state_dict(chain_inverse(robot, state)), 0
-    seg, pair = _segment_pair(robot, args.segment)
+    seg = _segment(robot, args.segment)
     if args.alpha is not None:
         state = replace(state, alpha=args.alpha)
-    return io.joint_state_dict(segment_inverse(seg, pair, state)), 0
+    return io.joint_state_dict(segment_inverse(seg, state)), 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> _Result:
@@ -205,7 +182,7 @@ def _cmd_validate(args: argparse.Namespace) -> _Result:
         return {"valid": valid, "segments": [asdict(c) for c in checks]}, 0 if valid else 1
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("displacement validation applies to rho states")
-    _, pair = _segment_pair(robot, args.segment)
+    pair = build_pair(_segment(robot, args.segment).arrangement)
     check = validate_displacement(pair, state.values, args.tol)
     return asdict(check), 0 if check.valid else 1
 
@@ -277,8 +254,8 @@ def _add_input(sp: argparse.ArgumentParser, help_text: str) -> None:
     sp.add_argument("--input", required=True, help=help_text)
 
 
-def _add_tol(sp: argparse.ArgumentParser, help_text: str, default: float | None = None) -> None:
-    sp.add_argument("--tol", type=float, default=default, help=help_text)
+def _add_tol(sp: argparse.ArgumentParser, help_text: str) -> None:
+    sp.add_argument("--tol", type=float, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_robot(p)
     p.add_argument("--input", help="optional joint-state or chain-state JSON file")
     _add_segment(p)
-    _add_tol(p, f"residual tolerance (default {DISPLACEMENT_TOL})", DISPLACEMENT_TOL)
+    _add_tol(p, f"residual tolerance (default {DISPLACEMENT_REL} * max(1, max|rho|))")
     _add_out(p)
     p.set_defaults(handler=_cmd_validate)
 
@@ -400,10 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DacrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for err_type, code in _EXIT_CODES:
-            if isinstance(exc, err_type):
-                return code
-        return 1
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

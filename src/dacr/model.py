@@ -23,11 +23,36 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
-# Tolerances for detecting the evenly-spaced, common-radius pattern.
-# Routing between the closed-form transform and the pseudoinverse path
-# depends on this check, so the tolerances are deliberately tight.
+# Every tolerance of the library. The two residual bounds scale with
+# the vector x they judge by one rule, REL * max(1, max|x_i|)
+# (:func:`_scaled_tol`); an explicit ``tol`` argument is absolute.
+#
+# SYMMETRY_TOL_PSI: radians by which an angle may miss the evenly
+#     spaced pattern, or another arrangement's angle, and still match.
+# SYMMETRY_TOL_D: relative spread of the d_i still taken as one radius.
+# GRAM_DEGENERACY_REL: a Gram determinant below this times (trace/2)**2
+#     is singular: the joints are collinear through the axis.
+# FILTER_TOL: largest |mp @ ones| for which constants are filtered.
+# DISPLACEMENT_REL: default residual bound of ``validate_displacement``.
+# OFF_MANIFOLD_REL: default residual bound of the q-side length recovery.
 SYMMETRY_TOL_PSI = 1e-9
 SYMMETRY_TOL_D = 1e-9
+GRAM_DEGENERACY_REL = 1e-12
+FILTER_TOL = 1e-9
+DISPLACEMENT_REL = 1e-9
+OFF_MANIFOLD_REL = 1e-6
+
+
+def _scaled_tol(rel: float, x: np.ndarray) -> float:
+    """The one scale rule: rel * max(1, max|x_i|) for a finite 1-D x."""
+    return rel * max(1.0, float(np.abs(x).max()))
+
+
+def _positive(name: str, value: float) -> float:
+    """value, refused with DomainError unless it is greater than zero."""
+    if not (value > 0.0):
+        raise DomainError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _normalize_angles(psi):
@@ -119,8 +144,7 @@ def make_symmetric_arrangement(n: int, d: float) -> JointArrangement:
     """
     if int(n) != n or n < 3:
         raise DomainError(f"symmetric arrangements need n >= 3 joints, got {n}")
-    if not (d > 0.0):
-        raise DomainError(f"radial distance must be positive, got {d}")
+    _positive("radial distance", d)
     n = int(n)
     psi = TWO_PI * np.arange(n) / n
     return JointArrangement(psi=psi, d=np.full(n, float(d)))

@@ -28,9 +28,11 @@ from .clarke import (
     ClarkeCoordinates,
     ClarkePair,
     _as_vector,
+    _check_finite,
     _check_length,
     _forward,
     _residual,
+    build_pair,
     inverse,
 )
 from .errors import (
@@ -40,11 +42,15 @@ from .errors import (
     OffManifold,
     UnsupportedArrangement,
 )
-from .model import JointArrangement, SegmentSpec, SegmentType, _common_radius
-
-# Relative scale for the default off-manifold tolerance of the q-side
-# operations: tol = OFF_MANIFOLD_REL * max(1, max|q_i|).
-OFF_MANIFOLD_REL = 1e-6
+from .model import (
+    OFF_MANIFOLD_REL,
+    JointArrangement,
+    SegmentSpec,
+    SegmentType,
+    _common_radius,
+    _positive,
+    _scaled_tol,
+)
 
 
 class Convention(str, Enum):
@@ -122,27 +128,75 @@ def common_radius(arr: JointArrangement) -> float:
     return d0
 
 
-def _require_filter(pair: ClarkePair) -> None:
+def _from_q(
+    pair: ClarkePair,
+    t: SegmentType,
+    q,
+    tol: float | None = None,
+    beta: float | None = None,
+    alpha: float | None = None,
+    d: float | None = None,
+) -> ExtendedClarkeState:
+    """cc = -mp @ q for a segment of type t: the one q-side forward map.
+
+    Its checks run in one order: the vector (shape, length, finiteness),
+    the filter property, the common radius, the value domain, the
+    off-manifold residual. Type I recovers beta as mean(q); type III
+    without beta recovers it as :func:`type3_forward_from_q` describes,
+    at radius d or, when d is None, the arrangement's common radius;
+    otherwise beta and alpha pass through. q may be a JointState, whose
+    values the state has already checked for shape and finiteness.
+    """
+    if isinstance(q, JointState):
+        q = q.values
+        _check_length(q, pair.n, "q")
+    else:
+        q = _as_vector(q, pair.n, "q")
     if not pair.filter_ok:
         raise FilterPropertyUnavailable(
             "joint lengths need an arrangement whose forward matrix "
             "annihilates constant vectors"
         )
-
-
-def _cc_from_q(pair: ClarkePair, q: np.ndarray) -> ClarkeCoordinates:
-    """cc = -mp @ q on a validated length-n q: the sign flips because
-    q = l*ones - rho, and the constant l is filtered out."""
+    if t is SegmentType.TYPE1 or (t is SegmentType.TYPE3 and beta is None):
+        centered = q
+        if t is SegmentType.TYPE3:
+            d = common_radius(pair.arrangement) if d is None else _positive("radial distance", d)
+            m = float(q.sum() / q.shape[0])
+            a = abs(float(alpha) * float(d))
+            if not (m > a):
+                raise DomainError(
+                    f"mean joint length {m} does not exceed the twist arm |alpha*d| = {a}"
+                )
+            centered = q - (m - math.sqrt((m - a) * (m + a)))
+        # ``sum / n`` is ``np.mean`` bit for bit.
+        beta = _positive("recovered length", float(centered.sum() / centered.shape[0]))
+        if tol is None:
+            tol = _scaled_tol(OFF_MANIFOLD_REL, centered)
+        residual = _residual(pair, centered - beta)
+        if residual > tol:
+            raise OffManifold(
+                f"joint lengths are not consistent with any on-manifold displacement "
+                f"(residual {residual:.3e} > tol {tol:.3e})"
+            )
+    # The sign flips because q = l*ones - rho; the constant l is filtered.
     cc = pair.mp @ q
-    return ClarkeCoordinates(-float(cc[0]), -float(cc[1]))
+    return ExtendedClarkeState(
+        ClarkeCoordinates(-float(cc[0]), -float(cc[1])), beta=beta, alpha=alpha
+    )
+
+
+def _q_from_cc(pair: ClarkePair, cc: ClarkeCoordinates, length: float) -> np.ndarray:
+    """q = length - rho for the on-manifold rho of cc; DomainError if it overflows."""
+    return _check_finite(length - inverse(pair, cc), "joint lengths")
 
 
 def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
     """Recover the segment length from joint lengths.
 
-    The length is (1/n) * ones.T @ (I + mp_inv @ mp) @ q, which equals l
-    for any q = l*ones - rho with on-manifold rho. The projector term
-    sums to zero when the filter property holds, so this is mean(q).
+    The length is (1/n) * ones.T @ (I + P) @ q, with P the projector
+    onto the manifold, which equals l for any q = l*ones - rho with
+    on-manifold rho. The projector term sums to zero when the filter
+    property holds, so this is mean(q), which is refused unless positive.
     Asymmetric arrangements lack that property, and silently averaging
     their q would hide a modeling error.
 
@@ -153,28 +207,13 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
             OFF_MANIFOLD_REL * max(1, max|q_i|).
 
     Raises:
+        DimensionMismatch: wrong q length.
+        DomainError: q has a non-finite entry, or mean(q) is not positive.
         FilterPropertyUnavailable: if pair.filter_ok is false.
         OffManifold: if, after removing the recovered constant, q is not
             a valid displacement vector within tol.
-        DimensionMismatch: wrong q length.
     """
-    _require_filter(pair)
-    return _recover_length(pair, _as_vector(q, pair.n, "q"), tol)
-
-
-def _recover_length(pair: ClarkePair, q: np.ndarray, tol: float | None) -> float:
-    """:func:`recover_length` on a validated length-n q and a pair with
-    the filter property. ``q.sum() / n`` is ``np.mean(q)`` bit for bit."""
-    length = float(q.sum() / q.shape[0])
-    if tol is None:
-        tol = OFF_MANIFOLD_REL * max(1.0, float(np.abs(q).max()))
-    residual = _residual(pair, q - length)
-    if residual > tol:
-        raise OffManifold(
-            f"joint lengths are not consistent with any on-manifold displacement "
-            f"(residual {residual:.3e} > tol {tol:.3e})"
-        )
-    return length
+    return _from_q(pair, SegmentType.TYPE1, q, tol).beta
 
 
 def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> ExtendedClarkeState:
@@ -184,29 +223,21 @@ def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> Exten
     reappears as the recovered beta.
 
     Raises:
-        FilterPropertyUnavailable, OffManifold, DimensionMismatch: as in
-            :func:`recover_length`.
+        As :func:`recover_length`.
     """
-    _require_filter(pair)
-    return _type1_from_q(pair, _as_vector(q, pair.n, "q"), tol)
-
-
-def _type1_from_q(pair: ClarkePair, q: np.ndarray, tol: float | None) -> ExtendedClarkeState:
-    """:func:`type1_forward_from_q` on a validated length-n q and a pair
-    with the filter property."""
-    beta = _recover_length(pair, q, tol)
-    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta)
+    return _from_q(pair, SegmentType.TYPE1, q, tol)
 
 
 def type1_inverse_to_q(pair: ClarkePair, state: ExtendedClarkeState) -> np.ndarray:
-    """Type-I inverse map to joint lengths: q = -mp_inv @ cc + beta * ones.
+    """Type-I inverse map to joint lengths: q = beta * ones - inverse(pair, cc).
 
     Raises:
         ConventionMismatch: if the state carries no beta.
+        DomainError: if q overflows.
     """
     if state.beta is None:
         raise ConventionMismatch("type-I inverse needs a length joint value (beta)")
-    return -(pair.mp_inv @ state.cc.as_array()) + state.beta * np.ones(pair.n)
+    return _q_from_cc(pair, state.cc, state.beta)
 
 
 def helical_offset(alpha: float, d: float, l: float) -> float:
@@ -224,10 +255,8 @@ def helical_offset(alpha: float, d: float, l: float) -> float:
     Raises:
         DomainError: if d <= 0 or l <= 0.
     """
-    if not (d > 0.0):
-        raise DomainError(f"radial distance must be positive, got {d}")
-    if not (l > 0.0):
-        raise DomainError(f"segment length must be positive, got {l}")
+    _positive("radial distance", d)
+    _positive("segment length", l)
     a = float(alpha) * float(d)
     if a == 0.0:
         return 0.0
@@ -247,9 +276,9 @@ def type3_forward_from_q(
     On the manifold mean(q) = beta + helical_offset(alpha, d, beta)
     = hypot(alpha*d, beta), so with m = mean(q) and a = |alpha*d| the
     length is beta = sqrt((m - a) * (m + a)). Length recovery then runs
-    once on the compensated q - (m - beta), which applies the filter and
-    off-manifold checks. The Clarke coordinates come from the raw q:
-    constants are filtered, so the compensation cannot change them.
+    on the compensated q - (m - beta). The Clarke coordinates come from
+    the raw q: constants are filtered, so the compensation cannot change
+    them.
 
     Args:
         pair: matrices for the segment's arrangement.
@@ -263,29 +292,10 @@ def type3_forward_from_q(
     Raises:
         DimensionMismatch, FilterPropertyUnavailable, OffManifold: as in
             :func:`recover_length`.
-        DomainError: non-positive d, or mean(q) <= |alpha*d| (no
-            positive length explains the joint lengths).
+        DomainError: non-finite q, non-positive d, or mean(q) <=
+            |alpha*d| (no positive length explains the joint lengths).
     """
-    q = _as_vector(q, pair.n, "q")
-    _require_filter(pair)
-    return _type3_from_q(pair, q, alpha, d, tol)
-
-
-def _type3_from_q(
-    pair: ClarkePair, q: np.ndarray, alpha: float, d: float, tol: float | None
-) -> ExtendedClarkeState:
-    """:func:`type3_forward_from_q` on a validated length-n q and a pair
-    with the filter property."""
-    if not (d > 0.0):
-        raise DomainError(f"radial distance must be positive, got {d}")
-    m = float(q.sum() / q.shape[0])
-    a = abs(float(alpha) * float(d))
-    if not (m > a):
-        raise DomainError(
-            f"mean joint length {m} does not exceed the twist arm |alpha*d| = {a}"
-        )
-    beta = _recover_length(pair, q - (m - math.sqrt((m - a) * (m + a))), tol)
-    return ExtendedClarkeState(cc=_cc_from_q(pair, q), beta=beta, alpha=float(alpha))
+    return _from_q(pair, SegmentType.TYPE3, q, tol, alpha=alpha, d=d)
 
 
 def _check_joints(t: SegmentType, beta: float | None, alpha: float | None) -> None:
@@ -299,7 +309,7 @@ def _check_joints(t: SegmentType, beta: float | None, alpha: float | None) -> No
 
 
 def segment_forward(
-    seg: SegmentSpec, pair: ClarkePair, state: JointState, tol: float | None = None
+    seg: SegmentSpec, state: JointState, tol: float | None = None
 ) -> ExtendedClarkeState:
     """Forward map of one segment, dispatched on its type and the state's convention.
 
@@ -310,68 +320,55 @@ def segment_forward(
     carries it.
 
     Args:
-        seg: the segment's description.
-        pair: matrices for the segment's arrangement.
+        seg: the segment's description; its pair comes from
+            :func:`dacr.clarke.build_pair`.
         state: joint state in either convention.
         tol: off-manifold bound for the q-side length recovery.
 
     Raises:
+        DegenerateArrangement: from building the pair, before any other.
         ConventionMismatch: joint values the type lacks or needs.
         FilterPropertyUnavailable, OffManifold, DomainError,
         DimensionMismatch, UnsupportedArrangement: from the mappings.
     """
+    pair = build_pair(seg.arrangement)
     t = seg.seg_type
     _check_joints(t, state.beta, state.alpha)
-    values = state.values
     if state.convention is Convention.RHO:
         if t.has_length_joint and state.beta is None:
             raise ConventionMismatch(f"{t.value} forward on rho needs beta")
-        _check_length(values, pair.n, "rho")
+        _check_length(state.values, pair.n, "rho")
         return ExtendedClarkeState(
-            cc=_forward(pair, values), beta=state.beta, alpha=state.alpha
+            cc=_forward(pair, state.values), beta=state.beta, alpha=state.alpha
         )
-    if t is SegmentType.TYPE3 and state.beta is None:
-        d = common_radius(pair.arrangement)
-        _check_length(values, pair.n, "q")
-        _require_filter(pair)
-        return _type3_from_q(pair, values, state.alpha, d, tol)
     if t is SegmentType.TYPE1 and state.beta is not None:
         raise ConventionMismatch("q already encodes the length; drop beta or use rho")
-    # Every other type on q: the fixed length (plus any twist-induced
-    # offset) is an additive constant, so -mp @ q needs the filter
-    # property; type I recovers beta, type III keeps the one it carries.
-    _require_filter(pair)
-    _check_length(values, pair.n, "q")
-    if t is SegmentType.TYPE1:
-        return _type1_from_q(pair, values, tol)
-    return ExtendedClarkeState(
-        cc=_cc_from_q(pair, values), beta=state.beta, alpha=state.alpha
-    )
+    return _from_q(pair, t, state, tol, state.beta, state.alpha)
 
 
-def segment_inverse(
-    seg: SegmentSpec, pair: ClarkePair, state: ExtendedClarkeState
-) -> JointState:
+def segment_inverse(seg: SegmentSpec, state: ExtendedClarkeState) -> JointState:
     """Inverse map of one segment, dispatched on its type.
 
     Types 0/II return displacements rho; the length-joint types return
     joint lengths q, type III with the helical offset of its twist.
 
     Raises:
+        DegenerateArrangement: from building the pair, before any other.
         ConventionMismatch: joint values the type lacks or needs.
-        UnsupportedArrangement, DomainError: from the type-III offset.
+        UnsupportedArrangement, DomainError: from the type-III offset,
+            or an overflowing q.
     """
+    pair = build_pair(seg.arrangement)
     t = seg.seg_type
     _check_joints(t, state.beta, state.alpha)
     if t.has_length_joint and state.beta is None:
         raise ConventionMismatch(f"{t.value} inverse needs beta")
 
     if t is SegmentType.TYPE1:
-        return JointState(convention=Convention.Q, values=type1_inverse_to_q(pair, state))
+        return JointState(convention=Convention.Q, values=_q_from_cc(pair, state.cc, state.beta))
     if t is SegmentType.TYPE3:
-        # q = (beta + helix offset) * ones - rho
         d = common_radius(pair.arrangement)
-        offset = helical_offset(state.alpha, d, state.beta)
-        q = -inverse(pair, state.cc) + (state.beta + offset)
+        length = state.beta + helical_offset(state.alpha, d, state.beta)
+        q = _q_from_cc(pair, state.cc, length)
         return JointState(convention=Convention.Q, values=q, beta=state.beta, alpha=state.alpha)
     return JointState(convention=Convention.RHO, values=inverse(pair, state.cc), alpha=state.alpha)

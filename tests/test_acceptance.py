@@ -176,7 +176,7 @@ def test_criterion_08_twist_immunity(acceptance_report):
 
             def cc(alpha):
                 state = JointState(Convention.Q, q, beta=beta, alpha=alpha)
-                return segment_forward(seg, pair, state).cc
+                return segment_forward(seg, state).cc
 
             reference = cc(0.0)
             for _ in range(20):

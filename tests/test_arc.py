@@ -26,6 +26,14 @@ class TestArcParameters:
     def test_phi_is_derived(self):
         assert BENT.phi == 100.0 * 0.005
 
+    @pytest.mark.parametrize("kappa, defined", [(0.0, False), (5e-324, True), (0.1, True)])
+    def test_theta_defined_is_derived_from_kappa(self, kappa, defined):
+        assert ArcParameters(kappa=kappa, theta=1.0, l=10.0).theta_defined is defined
+
+    def test_theta_defined_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            ArcParameters(kappa=0.0, theta=0.0, l=1.0, theta_defined=True)
+
     def test_theta_normalized(self):
         arc = ArcParameters(kappa=0.1, theta=-np.pi / 3, l=1.0)
         assert arc.theta == pytest.approx(5 * np.pi / 3, rel=1e-15)
@@ -91,6 +99,17 @@ class TestClarkeToArc:
         assert arc.theta == 0.0
         assert not arc.theta_defined
 
+    @pytest.mark.parametrize("cc", [(-0.0, 0.0), (-0.0, -0.0)])
+    def test_negative_zero_is_straight_with_theta_zero(self, cc):
+        # atan2(0, -0.0) is pi; the straight branch reports 0.
+        arc = clarke_to_arc(ClarkeCoordinates(*cc), d=10.0, l=100.0)
+        assert (arc.kappa, arc.theta, arc.theta_defined) == (0.0, 0.0, False)
+
+    def test_underflowing_curvature_is_straight(self):
+        arc = clarke_to_arc(ClarkeCoordinates(5e-324, 0.0), d=10.0, l=100.0)
+        assert arc.kappa == 0.0
+        assert not arc.theta_defined
+
     def test_quarter_plane_angle(self):
         arc = clarke_to_arc(ClarkeCoordinates(0.0, 5.0), d=10.0, l=100.0)
         assert arc.theta == pytest.approx(np.pi / 2, rel=1e-15)
@@ -145,8 +164,8 @@ class TestArcToDisplacements:
         np.testing.assert_allclose(rho, [0.0, 5.0, 0.0, -5.0], atol=1e-12)
 
     def test_agrees_with_inverse_transform_route(self):
-        # Direct cosine evaluation vs reconstruction through the Clarke
-        # coordinates; the two routes are kept separate deliberately.
+        # Reconstruction through the Clarke coordinates, which the library
+        # does, vs the direct cosine evaluation, kept here as the reference.
         rng = np.random.default_rng(37)
         for _ in range(100):
             n = int(rng.integers(3, 12))
@@ -157,9 +176,23 @@ class TestArcToDisplacements:
                 theta=float(rng.uniform(0.0, 2 * np.pi)),
                 l=float(rng.uniform(0.5, 200.0)),
             )
-            direct = arc_to_displacements(pair, arc, d)
-            reconstructed = inverse(pair, arc_to_clarke(arc, d))
+            direct = d * arc.l * arc.kappa * np.cos(arc.theta - pair.arrangement.psi)
+            reconstructed = arc_to_displacements(pair, arc, d)
             np.testing.assert_allclose(direct, reconstructed, atol=1e-10)
+
+    def test_is_the_inverse_of_arc_to_clarke(self):
+        pair = build_pair(make_symmetric_arrangement(5, 4.0))
+        arc = ArcParameters(kappa=0.08, theta=2.2, l=60.0)
+        np.testing.assert_array_equal(
+            arc_to_displacements(pair, arc, 4.0), inverse(pair, arc_to_clarke(arc, 4.0))
+        )
+
+    @pytest.mark.parametrize("d", [1e308, 0.0, -1.0])
+    def test_overflow_and_non_positive_d_are_domain_errors(self, d):
+        # At d = 1e308 the displacements were [inf, -inf, -inf].
+        pair = build_pair(make_symmetric_arrangement(3, 10.0))
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            arc_to_displacements(pair, ArcParameters(1.0, 0.0, 10.0), d)
 
     def test_output_satisfies_displacement_constraint(self):
         pair = build_pair(make_symmetric_arrangement(5, 4.0))

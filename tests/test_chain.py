@@ -455,6 +455,24 @@ class TestInterdependentRule:
         assert [v.field for v in validate_robot(rob)] == ["joints", "type"]
 
 
+class TestEmptyInterdependentRobot:
+    EMPTY = RobotSpec((), Coupling.INTERDEPENDENT)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rob: interdependent_forward(rob, ChainState(Convention.Q, ())),
+            lambda rob: interdependent_inverse(rob, ChainClarke(())),
+            lambda rob: interdependent_accumulate(rob, []),
+        ],
+        ids=["forward", "inverse", "accumulate"],
+    )
+    def test_is_domain_error(self, call):
+        # Was an IndexError from the shared pair lookup.
+        with pytest.raises(DomainError, match="robot has no segments"):
+            call(self.EMPTY)
+
+
 class TestChainSingleValidation:
     """Each vector is checked once: when the ChainState holding it is built."""
 
@@ -502,6 +520,15 @@ class TestChainDispatch:
             validate_displacement(build_pair(ARR4), state.per_segment[1], 1e-9),
         )
         assert [c.valid for c in checks] == [True, False]
+
+    def test_validate_default_tolerance_is_the_segment_default(self):
+        big = inverse(build_pair(ARR3), ClarkeCoordinates(1e7, 3e7))
+        local = robot([ARR3, ARR4], [10.0, 20.0], Coupling.INDEPENDENT)
+        state = ChainState(Convention.RHO, (big, np.zeros(4)))
+        checks = chain_module.validate_displacement(local, state)
+        assert checks[0] == validate_displacement(build_pair(ARR3), big)
+        assert checks[0].valid and checks[1].valid
+        assert not chain_module.validate_displacement(local, state, tol=1e-9)[0].valid
 
     def test_validate_refuses_q_and_wrong_counts(self):
         local = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)

@@ -307,6 +307,29 @@ class TestValidateDisplacement:
     def test_tolerance_is_caller_overridable(self):
         assert validate_displacement(build_pair(SYM3), [1.0, 1.0, 1.0], tol=2.0).valid
 
+    def test_default_tolerance_scales_with_rho(self):
+        # The exact reconstruction has a residual of about 1.7e-8: invalid
+        # under an absolute 1e-9, valid under 1e-9 * max|rho| (about 3e-2).
+        pair = build_pair(SYM3)
+        rho = inverse(pair, ClarkeCoordinates(1e7, 3e7))
+        check = validate_displacement(pair, rho)
+        assert check.valid
+        assert 1e-9 < check.residual_norm < 1e-7
+        assert not validate_displacement(pair, rho, tol=1e-9).valid
+
+    @pytest.mark.parametrize("offset, valid", [(1e-3, True), (1.5e-3, False)])
+    def test_default_tolerance_bound(self, offset, valid):
+        # max|rho| = 2e6 gives a bound of 2e-3; the residual of a constant
+        # offset c on three joints is sqrt(3) * c.
+        rho = 1e6 * np.array([2.0, -1.0, -1.0]) + offset
+        check = validate_displacement(build_pair(SYM3), rho)
+        assert check.residual_norm == pytest.approx(math.sqrt(3) * offset, rel=1e-6)
+        assert check.valid is valid
+
+    def test_small_vectors_keep_the_absolute_floor(self):
+        rho = np.array([2.0, -1.0, -1.0]) * 1e-3 + 1e-9
+        assert not validate_displacement(build_pair(SYM3), rho).valid
+
     def test_planar_antipodal_pair(self):
         """Two opposite joints in the plane: rho = [a, -a] is the whole
         manifold. The matrix pair itself is degenerate (only one bending
@@ -345,4 +368,4 @@ class TestResidualKernel:
         reference = float(np.linalg.norm(rho - pair.projector @ rho))
         check = validate_displacement(pair, rho)
         assert bits(check.residual_norm) == bits(reference)
-        assert check.valid == (reference <= 1e-9)
+        assert check.valid == (reference <= 1e-9 * max(1.0, float(np.max(np.abs(rho)))))

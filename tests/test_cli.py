@@ -8,6 +8,21 @@ import sys
 import numpy as np
 import pytest
 
+from dacr import (
+    ArrangementMismatch,
+    ConventionMismatch,
+    DacrError,
+    DegenerateArrangement,
+    DimensionMismatch,
+    DomainError,
+    FilterPropertyUnavailable,
+    OffManifold,
+    SchemaError,
+    UnsupportedArrangement,
+    build_pair,
+    cli,
+    make_symmetric_arrangement,
+)
 from dacr.cli import main
 
 SYM3 = {
@@ -317,6 +332,18 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_default_tol_scales_with_rho(self, capsys, write):
+        # The exact on-manifold rho of cc (1e7, 3e7) has a residual of
+        # about 1.7e-8, beyond an absolute 1e-9.
+        robot = write("robot.json", SYM3)
+        rho = build_pair(make_symmetric_arrangement(3, 10.0)).mp_inv @ [1e7, 3e7]
+        state = write("state.json", {"convention": "rho", "values": rho.tolist()})
+        code, out, _ = run(capsys, ["validate", "--robot", robot, "--input", state])
+        assert (code, json.loads(out)["valid"]) == (0, True)
+        code, out, _ = run(
+            capsys, ["validate", "--robot", robot, "--input", state, "--tol", "1e-9"])
+        assert (code, json.loads(out)["valid"]) == (1, False)
+
     def test_chain_state(self, capsys, write):
         robot = write("robot.json", CHAIN2)
         state = write("state.json", {
@@ -386,6 +413,13 @@ class TestArcCommands:
         assert doc["kappa"] == 0.0
         assert doc["theta_defined"] is False
 
+    def test_from_clarke_underflowing_curvature_is_straight(self, capsys, write):
+        cc = write("cc.json", {"cc": [5e-324, 0.0]})
+        doc = run_json(
+            capsys, ["arc", "from-clarke", "--input", cc, "--d", "10", "--l", "100"])
+        assert doc["kappa"] == 0.0
+        assert doc["theta_defined"] is False
+
     def test_sample_csv(self, capsys, write):
         arc = write("arc.json", {"kappa": 0.0, "theta": 0.0, "l": 100.0})
         code, out, _ = run(capsys, ["sample", "--input", arc, "--points", "2"])
@@ -449,6 +483,40 @@ class TestExitCodes:
         code, _, err = run(capsys, ["matrix", "--robot", robot])
         assert code == 1
         assert "invalid robot" in err
+
+    def test_documented_codes_live_on_the_error_classes(self):
+        documented = {
+            DacrError: 1, DomainError: 1, OffManifold: 1, SchemaError: 2,
+            DegenerateArrangement: 3, DimensionMismatch: 4, ConventionMismatch: 4,
+            ArrangementMismatch: 4, UnsupportedArrangement: 4, FilterPropertyUnavailable: 5,
+        }
+        assert {cls: cls.exit_code for cls in documented} == documented
+
+    def test_code_is_the_exit_code_of_the_error_class(self, capsys, write, monkeypatch):
+        class Custom(DomainError):
+            exit_code = 3
+
+        def fail(args):
+            raise Custom("custom")
+
+        monkeypatch.setattr(cli, "_cmd_matrix", fail)
+        robot = write("robot.json", SYM3)
+        assert run(capsys, ["matrix", "--robot", robot])[:2] == (3, "")
+
+    def test_code_1_non_positive_recovered_length(self, capsys, write):
+        robot = write("robot.json", SYM3)
+        state = write("state.json", {"convention": "q", "values": [-5.0, -5.0, -5.0]})
+        code, out, err = run(capsys, ["recover-length", "--robot", robot, "--input", state])
+        assert (code, out) == (1, "")
+        assert "recovered length must be positive" in err
+
+    @pytest.mark.parametrize("command", ["recover-length", "forward"])
+    def test_code_4_long_q_before_filter_property(self, capsys, write, command):
+        robot = write("robot.json", HALF_PLANE)
+        state = write("state.json", {"convention": "q", "values": [98.0, 101.0, 101.0, 1.0]})
+        code, _, err = run(capsys, [command, "--robot", robot, "--input", state])
+        assert code == 4
+        assert "q has length 4, expected 3" in err
 
     def test_code_1_domain_error(self, capsys, write):
         arc = write("arc.json", {"kappa": -0.1, "theta": 0.0, "l": 100.0})

@@ -160,7 +160,7 @@ class TestSegmentInvariants:
 
             def cc(alpha):
                 state = JointState(Convention.Q, q, beta=beta, alpha=alpha)
-                return segment_forward(seg, pair, state).cc
+                return segment_forward(seg, state).cc
 
             reference = cc(0.0)
             for _ in range(5):

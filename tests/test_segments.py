@@ -1,5 +1,6 @@
 """Segment-type mappings: joint lengths, recovery, extensions, twist."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dacr import (
     ClarkeCoordinates,
     Convention,
     ConventionMismatch,
+    DegenerateArrangement,
     DimensionMismatch,
     DomainError,
     ExtendedClarkeState,
@@ -23,6 +25,7 @@ from dacr import (
     UnsupportedArrangement,
     build_pair,
     common_radius,
+    forward,
     helical_offset,
     inverse,
     joint_lengths,
@@ -47,14 +50,14 @@ def rho_forward(pair, seg_type, rho, beta=None, alpha=None):
     """segment_forward on a displacement state of the given segment type."""
     seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=seg_type)
     state = JointState(convention=Convention.RHO, values=rho, beta=beta, alpha=alpha)
-    return segment_forward(seg, pair, state)
+    return segment_forward(seg, state)
 
 
 def type3_q_forward(pair, q, beta, alpha):
     """segment_forward on a type-3 joint-length state that carries beta."""
     seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=SegmentType.TYPE3)
     state = JointState(convention=Convention.Q, values=q, beta=beta, alpha=alpha)
-    return segment_forward(seg, pair, state)
+    return segment_forward(seg, state)
 
 
 class TestJointLengths:
@@ -388,14 +391,14 @@ class TestSegmentDispatch:
     )
     def test_q_forward_filters_the_constant(self, seg_type, alpha):
         state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0], alpha=alpha)
-        out = segment_forward(self.seg(PAIR3, seg_type), PAIR3, state)
+        out = segment_forward(self.seg(PAIR3, seg_type), state)
         assert out.cc.rho_re == pytest.approx(2.0, abs=1e-12)
         assert (out.beta, out.alpha) == (None, alpha)
 
     def test_q_forward_needs_filter_property(self):
         state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0])
         with pytest.raises(FilterPropertyUnavailable):
-            segment_forward(self.seg(ASYM, SegmentType.TYPE0), ASYM, state)
+            segment_forward(self.seg(ASYM, SegmentType.TYPE0), state)
 
     @pytest.mark.parametrize("length", [100.0, 200.0])
     def test_type3_q_with_beta_needs_filter_property(self, length):
@@ -404,11 +407,11 @@ class TestSegmentDispatch:
         q = joint_lengths(length, [1.0, 0.0, -1.0])
         state = JointState(convention=Convention.Q, values=q, beta=length, alpha=0.3)
         with pytest.raises(FilterPropertyUnavailable):
-            segment_forward(self.seg(ASYM, SegmentType.TYPE3), ASYM, state)
+            segment_forward(self.seg(ASYM, SegmentType.TYPE3), state)
 
     def test_type3_q_without_beta_recovers_it(self):
         state = JointState(convention=Convention.Q, values=[3.0, 6.0, 6.0], alpha=0.3)
-        out = segment_forward(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
+        out = segment_forward(self.seg(PAIR3, SegmentType.TYPE3), state)
         assert out.beta == pytest.approx(4.0, rel=1e-12)
         assert out.cc == type3_q_forward(PAIR3, [3.0, 6.0, 6.0], 4.0, 0.3).cc
 
@@ -424,12 +427,12 @@ class TestSegmentDispatch:
     def test_joint_values_must_match_type(self, seg_type, beta, alpha):
         state = JointState(Convention.RHO, [2.0, -1.0, -1.0], beta=beta, alpha=alpha)
         with pytest.raises(ConventionMismatch):
-            segment_forward(self.seg(PAIR3, seg_type), PAIR3, state)
+            segment_forward(self.seg(PAIR3, seg_type), state)
 
     def test_type1_q_with_beta_refused(self):
         state = JointState(convention=Convention.Q, values=[98.0, 101.0, 101.0], beta=100.0)
         with pytest.raises(ConventionMismatch):
-            segment_forward(self.seg(PAIR3, SegmentType.TYPE1), PAIR3, state)
+            segment_forward(self.seg(PAIR3, SegmentType.TYPE1), state)
 
     @pytest.mark.parametrize(
         "seg_type, beta, alpha, convention",
@@ -443,11 +446,11 @@ class TestSegmentDispatch:
     def test_inverse_roundtrips_forward(self, seg_type, beta, alpha, convention):
         seg = self.seg(PAIR3, seg_type)
         cc = ClarkeCoordinates(2.0, -0.5)
-        back = segment_inverse(seg, PAIR3, ExtendedClarkeState(cc, beta=beta, alpha=alpha))
+        back = segment_inverse(seg, ExtendedClarkeState(cc, beta=beta, alpha=alpha))
         assert back.convention is convention
         kept_beta = beta if seg_type is SegmentType.TYPE3 else None
         assert (back.beta, back.alpha) == (kept_beta, alpha)
-        again = segment_forward(seg, PAIR3, JointState(convention, back.values, alpha=alpha))
+        again = segment_forward(seg, JointState(convention, back.values, alpha=alpha))
         assert again.cc.rho_re == pytest.approx(2.0, abs=1e-12)
         assert again.cc.rho_im == pytest.approx(-0.5, abs=1e-12)
         if beta is not None:
@@ -456,13 +459,13 @@ class TestSegmentDispatch:
     def test_type3_inverse_adds_helical_offset(self):
         # beta = 4, alpha*d = 3: offset 1, so q = 5 - [2, -1, -1].
         state = ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), beta=4.0, alpha=0.3)
-        back = segment_inverse(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
+        back = segment_inverse(self.seg(PAIR3, SegmentType.TYPE3), state)
         np.testing.assert_allclose(back.values, [3.0, 6.0, 6.0], atol=1e-12)
 
     def test_inverse_needs_beta(self):
         state = ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), alpha=0.3)
         with pytest.raises(ConventionMismatch):
-            segment_inverse(self.seg(PAIR3, SegmentType.TYPE3), PAIR3, state)
+            segment_inverse(self.seg(PAIR3, SegmentType.TYPE3), state)
 
 
 class TestSignConvention:
@@ -519,7 +522,7 @@ class TestSingleValidation:
     def test_segment_forward_on_q(self, validations, seg_type, beta, alpha):
         seg = SegmentSpec(arrangement=PAIR3.arrangement, length=4.0, seg_type=seg_type)
         state = JointState(convention=Convention.Q, values=self.Q3, beta=beta, alpha=alpha)
-        segment_forward(seg, PAIR3, state)
+        segment_forward(seg, state)
         assert validations == ["values"]
 
 
@@ -533,9 +536,12 @@ def bits(x: float) -> bytes:
 
 def reference_recover_length(pair, q, tol=None):
     """Length recovery as written with NumPy's reductions, kept as the
-    reference for the kernel that replaces them."""
+    reference for the kernel that replaces them. A non-positive length
+    is refused before the residual is checked."""
     q = np.asarray(q, dtype=float)
     length = float(np.mean(q))
+    if not (length > 0.0):
+        raise DomainError(f"recovered length {length}")
     if tol is None:
         tol = OFF_MANIFOLD_REL * max(1.0, float(np.max(np.abs(q))))
     centered = q - length
@@ -608,3 +614,162 @@ class TestKernelsMatchReference:
         want_cc = -(pair.mp @ q)
         assert bits(got.cc.rho_re) == bits(want_cc[0])
         assert bits(got.cc.rho_im) == bits(want_cc[1])
+
+
+def reference_type1_inverse_to_q(pair, state):
+    """The type-I inverse as written before it went through ``inverse``."""
+    return -(pair.mp_inv @ state.cc.as_array()) + state.beta * np.ones(pair.n)
+
+
+def reference_type3_inverse(pair, state, d):
+    """The type-III inverse as written before it went through ``inverse``."""
+    offset = helical_offset(state.alpha, d, state.beta)
+    return -(pair.mp_inv @ state.cc.as_array()) + (state.beta + offset)
+
+
+# Finite floats up to the largest, so that some sums overflow.
+WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestInverseThroughClarkeInverse:
+    """Joint lengths come back through ``clarke.inverse``: every finite
+    result keeps the bits of the old formula, and an overflow is refused."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 12), re=WIDE, im=WIDE, beta=WIDE)
+    def test_type1_inverse_to_q(self, n, re, im, beta):
+        pair = build_pair(make_symmetric_arrangement(n, 10.0))
+        state = ExtendedClarkeState(ClarkeCoordinates(re, im), beta=beta)
+        with np.errstate(all="ignore"):
+            want = reference_type1_inverse_to_q(pair, state)
+            if not np.isfinite(want).all():
+                with pytest.raises(DomainError):
+                    type1_inverse_to_q(pair, state)
+                return
+            got = type1_inverse_to_q(pair, state)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 12),
+        re=WIDE,
+        im=WIDE,
+        beta=st.one_of(st.floats(1e-3, 1e6), st.just(1.7e308)),
+        alpha=st.floats(-math.pi, math.pi),
+    )
+    def test_type3_segment_inverse(self, n, re, im, beta, alpha):
+        pair = build_pair(make_symmetric_arrangement(n, 10.0))
+        seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=SegmentType.TYPE3)
+        state = ExtendedClarkeState(ClarkeCoordinates(re, im), beta=beta, alpha=alpha)
+        with np.errstate(all="ignore"):
+            want = reference_type3_inverse(pair, state, 10.0)
+            if not np.isfinite(want).all():
+                with pytest.raises(DomainError):
+                    segment_inverse(seg, state)
+                return
+            got = segment_inverse(seg, state)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_overflowing_type1_inverse_is_domain_error(self):
+        # Was [inf, 8.5e307, 8.5e307].
+        state = ExtendedClarkeState(ClarkeCoordinates(-1.7e308, 0.0), beta=1.7e308)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="joint lengths"):
+            type1_inverse_to_q(PAIR3, state)
+
+
+def q_maps(pair):
+    """Each q-side map as a function of q, for the given pair."""
+
+    def seg(t, **scalars):
+        spec = SegmentSpec(arrangement=pair.arrangement, length=4.0, seg_type=t)
+        return lambda q: segment_forward(spec, JointState(Convention.Q, q, **scalars))
+
+    return {
+        "recover_length": lambda q: recover_length(pair, q),
+        "type1_forward_from_q": lambda q: type1_forward_from_q(pair, q),
+        "type3_forward_from_q": lambda q: type3_forward_from_q(pair, q, 0.3, 10.0),
+        "segment type0": seg(SegmentType.TYPE0),
+        "segment type1": seg(SegmentType.TYPE1),
+        "segment type2": seg(SegmentType.TYPE2, alpha=0.3),
+        "segment type3": seg(SegmentType.TYPE3, alpha=0.3),
+        "segment type3 with beta": seg(SegmentType.TYPE3, beta=4.0, alpha=0.3),
+    }
+
+
+class TestOneQInputCheck:
+    """Every q-side map checks its input in one order: the vector, the
+    filter property, the common radius, the value domain, the residual."""
+
+    Q3 = [3.0, 6.0, 6.0]
+    # Not evenly spaced and not one radius: no filter property, no twist.
+    NEITHER = build_pair(
+        JointArrangement(psi=np.array([0.0, np.pi / 2, np.pi]), d=np.array([10.0, 10.0, 20.0]))
+    )
+    # Evenly spaced, so constants are filtered, but with unequal radii.
+    UNEQUAL = build_pair(
+        JointArrangement(psi=2 * np.pi * np.arange(3) / 3, d=np.array([10.0, 10.0, 20.0]))
+    )
+
+    @pytest.mark.parametrize("name", list(q_maps(PAIR3)))
+    def test_vector_before_filter_property(self, name):
+        # A 4-vector on the 3-joint half-plane arrangement: types 0-2 and
+        # length recovery exited 5 here, type 3 exited 4.
+        with pytest.raises(DimensionMismatch):
+            q_maps(ASYM)[name]([98.0, 101.0, 101.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["recover_length", "type1_forward_from_q",
+                                      "type3_forward_from_q"])
+    def test_non_finite_long_vector_is_dimension_mismatch(self, name):
+        with pytest.raises(DimensionMismatch):
+            q_maps(PAIR3)[name]([np.inf, 1.0, 1.0, 1.0])
+
+    def test_filter_property_before_radius(self):
+        with pytest.raises(FilterPropertyUnavailable):
+            q_maps(self.NEITHER)["segment type3"](self.Q3)
+        with pytest.raises(FilterPropertyUnavailable):
+            type3_forward_from_q(ASYM, self.Q3, alpha=0.3, d=0.0)
+
+    def test_radius_before_value_domain(self):
+        with pytest.raises(UnsupportedArrangement):
+            q_maps(self.UNEQUAL)["segment type3"]([-1.0, -1.0, -1.0])
+        with pytest.raises(DomainError, match="radial distance"):
+            type3_forward_from_q(PAIR3, [-1.0, -1.0, -1.0], alpha=0.3, d=0.0)
+
+    @pytest.mark.parametrize("name", ["recover_length", "type1_forward_from_q", "segment type1"])
+    @pytest.mark.parametrize("q", [[-5.0, -5.0, -5.0], [-5.0, -4.0, -6.0], [0.0, 1.0, -1.0]])
+    def test_non_positive_recovered_length_before_residual(self, name, q):
+        # recover_length([-5, -5, -5]) returned -5.0; the middle q is also
+        # off the manifold.
+        with pytest.raises(DomainError, match="recovered length must be positive"):
+            q_maps(PAIR3)[name](q)
+
+    def test_type3_mean_check_before_residual(self):
+        with pytest.raises(DomainError, match="twist arm"):
+            type3_forward_from_q(PAIR3, [-5.0, -4.0, -6.0], alpha=0.3, d=10.0)
+
+
+class TestSegmentMapsDeriveTheirPair:
+    DEGENERATE = JointArrangement(psi=np.array([0.0, np.pi]), d=np.full(2, 10.0))
+
+    def test_signatures_take_no_pair(self):
+        assert list(inspect.signature(segment_forward).parameters) == ["seg", "state", "tol"]
+        assert list(inspect.signature(segment_inverse).parameters) == ["seg", "state"]
+
+    def test_pair_follows_the_segment(self):
+        # The state's length is that of the segment's own arrangement.
+        seg = SegmentSpec(arrangement=PAIR4.arrangement, length=4.0)
+        out = segment_forward(seg, JointState(Convention.RHO, [1.0, 0.0, -1.0, 0.0]))
+        assert out.cc == forward(PAIR4, [1.0, 0.0, -1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            segment_forward(seg, JointState(Convention.RHO, [2.0, -1.0, -1.0]))
+
+    def test_degenerate_arrangement_before_joint_values(self):
+        seg = SegmentSpec(arrangement=self.DEGENERATE, length=4.0)
+        with pytest.raises(DegenerateArrangement):
+            segment_forward(seg, JointState(Convention.Q, [1.0, 2.0, 3.0], beta=1.0))
+        with pytest.raises(DegenerateArrangement):
+            segment_inverse(seg, ExtendedClarkeState(ClarkeCoordinates(1.0, 0.0), beta=1.0))
