@@ -13,7 +13,8 @@ backbones). Exit codes are a stable contract:
     5  arrangement lacks the offset-filtering property required by the
        requested operation
 
-Each code is the ``exit_code`` of the DacrError class raised.
+Each code is the ``exit_code`` of the DacrError class raised (2 for an
+OSError); the refusal is one ``error: <message>`` line on stderr.
 
 Every command is deterministic; identical inputs produce byte-identical
 outputs.
@@ -28,6 +29,8 @@ from dataclasses import asdict, replace
 from io import StringIO
 from typing import IO, Any, Callable
 
+import numpy as np
+
 from . import io
 from .arc import arc_to_clarke, clarke_to_arc, sample_backbone
 from .chain import (
@@ -40,7 +43,7 @@ from .chain import (
 from .chain import validate_displacement as validate_chain_displacement
 from .clarke import ClarkePair, build_pair, project, validate_displacement
 from .errors import ConventionMismatch, DacrError, DimensionMismatch, DomainError, SchemaError
-from .model import DISPLACEMENT_REL, RobotSpec, SegmentSpec, Violation, validate_robot
+from .model import DISPLACEMENT_REL, RobotSpec, SegmentSpec, validate_robot
 from .segments import (
     Convention,
     JointState,
@@ -52,10 +55,6 @@ from .segments import (
 # What every handler returns: its result, and the exit code. The result
 # is JSON-able data, or a CSV writer that takes the output stream.
 _Result = tuple[Any, int]
-
-
-class _InvalidInput(Exception):
-    """Well-formed input that failed validation; details already on stderr."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,19 +78,15 @@ def _emit(result: Any, out: str | None) -> None:
         fh.write(text.getvalue())
 
 
-def _print_violations(violations: list[Violation]) -> None:
-    for v in violations:
-        where = "robot" if v.segment is None else f"segment {v.segment}"
-        print(f"invalid robot: {where}: {v.field}: {v.message}", file=sys.stderr)
-
-
 def _load_robot(args: argparse.Namespace) -> RobotSpec:
-    """Load the robot description, refusing descriptions with violations."""
+    """Load the robot description; DomainError naming every violation."""
     robot = io.load_robot(args.robot)
     violations = validate_robot(robot)
     if violations:
-        _print_violations(violations)
-        raise _InvalidInput()
+        raise DomainError("invalid robot: " + "; ".join(
+            f"{'robot' if v.segment is None else f'segment {v.segment}'}: {v.field}: {v.message}"
+            for v in violations
+        ))
     return robot
 
 
@@ -368,19 +363,16 @@ def _check_finite_flags(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # No NumPy warning reaches stderr; the finiteness checks refuse overflows.
     try:
-        _check_finite_flags(args)
-        result, code = args.handler(args)
-        _emit(result, args.out)
+        with np.errstate(all="ignore"):
+            _check_finite_flags(args)
+            result, code = args.handler(args)
+            _emit(result, args.out)
         return code
-    except _InvalidInput:
-        return 1
-    except DacrError as exc:
+    except (DacrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, DacrError) else 2
 
 
 if __name__ == "__main__":

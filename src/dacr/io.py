@@ -8,11 +8,12 @@ formatted whole rather than one NumPy scalar at a time. NaN and
 infinity have no JSON form and are refused with
 :class:`~dacr.errors.DomainError`.
 
-Schema errors (wrong shape, missing keys, wrong JSON types, unknown
-enum values) raise :class:`~dacr.errors.SchemaError`; value-domain
-problems inside a well-formed document surface as
-:class:`~dacr.errors.DomainError` from the constructors, or as
-violations from :func:`~dacr.model.validate_robot`.
+Schema errors (text that is not UTF-8, malformed or too deeply nested
+JSON, wrong shape, missing keys, wrong JSON types, unknown enum values)
+raise :class:`~dacr.errors.SchemaError`; value-domain problems inside
+a well-formed document surface as :class:`~dacr.errors.DomainError`
+from the constructors, or as violations from
+:func:`~dacr.model.validate_robot`.
 """
 
 from __future__ import annotations
@@ -50,13 +51,17 @@ def loads_strict(text: str) -> Any:
     """Parse JSON, rejecting the NaN/Infinity extensions."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # also integers too long to convert
+    except (ValueError, RecursionError) as exc:  # also too-long integers, too-deep nesting
         raise SchemaError(f"malformed JSON: {exc}") from exc
 
 
 def _load_json_file(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return loads_strict(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    return loads_strict(text)
 
 
 def _as_mapping(value: Any, where: str) -> dict:

@@ -31,7 +31,8 @@ TWO_PI = 2.0 * np.pi
 #     spaced pattern, or another arrangement's angle, and still match.
 # SYMMETRY_TOL_D: relative spread of the d_i still taken as one radius.
 # GRAM_DEGENERACY_REL: a Gram determinant below this times (trace/2)**2
-#     is singular: the joints are collinear through the axis.
+#     is singular. As det/scale**2 ~ 4/cond(Gram) = 4/cond(mp_inv)**2, it
+#     refuses exactly when cond(mp_inv) >~ 2e6: near-collinear joints.
 # FILTER_TOL: largest |mp @ ones| for which constants are filtered.
 # DISPLACEMENT_REL: default residual bound of ``validate_displacement``.
 # OFF_MANIFOLD_REL: default residual bound of the q-side length recovery.

@@ -173,7 +173,7 @@ def _from_q(
         if tol is None:
             tol = _scaled_tol(OFF_MANIFOLD_REL, centered)
         residual = _residual(pair, centered - beta)
-        if residual > tol:
+        if not (residual <= tol):  # also refuses a NaN residual
             raise OffManifold(
                 f"joint lengths are not consistent with any on-manifold displacement "
                 f"(residual {residual:.3e} > tol {tol:.3e})"

@@ -133,6 +133,21 @@ class TestBuildPair:
         with pytest.raises(DegenerateArrangement):
             build_pair(arrangement(psi))
 
+    # GRAM_DEGENERACY_REL refuses when det/scale**2 ~ 4/cond(mp_inv)**2
+    # falls below 1e-12, i.e. when cond(mp_inv) exceeds about 2e6.
+    @pytest.mark.parametrize("eps, cond", [(1e-5, 2.12e5), (2e-6, 1.06e6)])
+    def test_near_collinear_joints_build_below_the_limit(self, eps, cond):
+        pair = build_pair(arrangement([0.0, eps, np.pi]))
+        assert np.linalg.cond(pair.mp_inv) == pytest.approx(cond, rel=1e-2)
+        assert np.abs(pair.mp).max() == pytest.approx(1.0 / eps, rel=1e-6)
+        np.testing.assert_allclose(pair.mp @ pair.mp_inv, np.eye(2), atol=1e-9)
+
+    def test_near_collinear_joints_are_degenerate_above_the_limit(self):
+        arr = arrangement([0.0, 1e-6, np.pi])
+        assert np.linalg.cond(build_mp_inv(arr)) == pytest.approx(2.12e6, rel=1e-2)
+        with pytest.raises(DegenerateArrangement):
+            build_pair(arr)
+
     def test_two_orthogonal_joints_are_fine(self):
         pair = build_pair(arrangement([0.0, np.pi / 2]))
         np.testing.assert_allclose(pair.mp @ pair.mp_inv, np.eye(2), atol=1e-15)

@@ -477,12 +477,18 @@ class TestChainCommands:
 
 class TestExitCodes:
     def test_code_1_invalid_robot(self, capsys, write):
-        bad = json.loads(json.dumps(SYM3))
-        bad["segments"][0]["length"] = 0.0
-        robot = write("robot.json", bad)
-        code, _, err = run(capsys, ["matrix", "--robot", robot])
-        assert code == 1
-        assert "invalid robot" in err
+        # One error line names every violation.
+        bad = {"segments": [
+            {"length": 0.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
+            {"length": 4.0, "joints": {"explicit": [
+                {"psi": 0.0, "d": -1.0}, {"psi": 2.0, "d": 1.0}, {"psi": 4.0, "d": 1.0}]}},
+        ]}
+        code, out, err = run(capsys, ["matrix", "--robot", write("robot.json", bad)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid robot: segment 0: length: non-positive segment length; "
+            "segment 1: joints.d: non-positive radial distance at joint 0\n"
+        )
 
     def test_documented_codes_live_on_the_error_classes(self):
         documented = {
@@ -546,6 +552,40 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["matrix", "--robot", robot])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"segments": []}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["non-utf8", "too-deep"])
+    def test_code_2_unreadable_file(self, tmp_path, content):
+        robot = tmp_path / "robot.json"
+        robot.write_bytes(content)
+        run = subprocess.run([sys.executable, "-m", "dacr", "matrix", "--robot", str(robot)],
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert "Traceback" not in run.stderr
+
+    def test_code_1_overflowing_inverse_is_one_error_line(self, capsys, write):
+        robot = write("robot.json", {"segments": [
+            {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
+        ]})
+        cc = write("cc.json", {"cc": [-1.7e308, -1.7e308], "beta": 4.0})
+        code, out, err = run(capsys, ["inverse", "--robot", robot, "--input", cc])
+        assert (code, out, err) == (1, "", "error: reconstructed rho must be finite\n")
+
+    @pytest.mark.parametrize("command", ["recover-length", "forward"])
+    def test_code_1_nan_residual_is_off_manifold(self, capsys, write, command):
+        # The mean of q overflows; refused at the residual check, not as
+        # a non-finite beta afterwards.
+        robot = write("robot.json", {"segments": [
+            {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 5, "d": 10.0}}},
+        ]})
+        state = write("state.json", {"convention": "q",
+                                     "values": [6e-8, 1.6e308, 1e308, -1e308, -1.6e308]})
+        code, out, err = run(capsys, [command, "--robot", robot, "--input", state])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: joint lengths are not consistent")
+
     @pytest.mark.parametrize("command, state_text", [
         (["forward"], '{"convention": "rho", "values": [1e400, 0.0, 0.0]}'),
         (["chain", "forward"], '{"convention": "rho", "segments": [{"values": [1e400, 0.0, 0.0]}]}'),
@@ -591,8 +631,7 @@ class TestExitCodes:
     def test_code_1_non_finite_result(self, capsys, write, argv):
         # Finite inputs whose result overflows: kappa * l is not finite.
         arc = write("arc.json", {"kappa": 1e308, "theta": 0.0, "l": 1e10})
-        with np.errstate(all="ignore"):
-            code, out, err = run(capsys, [*argv, "--input", arc])
+        code, out, err = run(capsys, [*argv, "--input", arc])
         assert code == 1
         assert out == ""
         assert "non-finite" in err

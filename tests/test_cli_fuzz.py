@@ -2,9 +2,10 @@
 
 Generated robot, state and flag files go through ``cli.main`` in
 process. Whatever the input, the exit code is one of the documented
-0-5, no exception escapes, a second run gives the same bytes, and a
-successful ``forward``/``inverse`` prints exactly ``io.dump_json`` of
-the library result.
+0-5, no exception escapes, stderr is empty or one ``error:`` line (no
+NumPy warning), a second run gives the same bytes, and a successful
+``forward``/``inverse`` prints exactly ``io.dump_json`` of the library
+result.
 """
 
 import json
@@ -185,10 +186,8 @@ def requests(draw):
 
 
 def run(argv):
-    # Overflowing inputs are refused by finiteness checks after NumPy has
-    # computed them; its overflow warnings are not under test here.
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err), np.errstate(all="ignore"):
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -237,6 +236,8 @@ def test_cli_contract(workdir, request):
 
     code, out, err = run(argv)
     assert code in range(6), (argv, code, err)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                         and err.endswith("\n")), (argv, err)
     assert run(argv) == (code, out, err)
     if err:
         assert out == ""

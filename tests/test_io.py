@@ -73,6 +73,10 @@ class TestLoadsStrict:
         with pytest.raises(SchemaError):
             loads_strict("1" + "0" * 5000)
 
+    def test_too_deep_nesting_is_schema_error(self):
+        with pytest.raises(SchemaError, match="malformed JSON"):
+            loads_strict("[" * 100_000 + "]" * 100_000)
+
 
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400])
@@ -274,6 +278,12 @@ class TestRobotFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_robot(str(tmp_path / "nope.json"))
+
+    def test_non_utf8_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "robot.json"
+        path.write_bytes(b'\xff\xfe{"segments": []}')
+        with pytest.raises(SchemaError, match="not UTF-8 text"):
+            load_robot(str(path))
 
 
 class TestEmission:

@@ -2,10 +2,17 @@
 
 Each sweep draws a few hundred seeded random cases; arrangements with a
 badly conditioned normal matrix are redrawn, since no tolerance holds
-uniformly as the joint directions collapse onto a line.
+uniformly as the joint directions collapse onto a line. The hypothesis
+properties at the end state acceptance criteria 01, 03-05, 08 and 09
+over generated arrangements, scales from 1e-3 to 1e7 and chains of 1 to
+8 segments, with tolerances relative to the data.
 """
 
+import math
+
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dacr import (
     ClarkeCoordinates,
@@ -225,3 +232,111 @@ class TestChainInvariants:
             back = interdependent_inverse(robot, interdependent_forward(robot, q))
             for a, b in zip(back.per_segment, q.per_segment):
                 np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the identities as hypothesis properties
+
+SCALES = st.floats(-3.0, 7.0).map(lambda e: 10.0**e)
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def arrangements(draw, n_min=2):
+    """Any angles and radii whose Gram matrix has condition at most MAX_COND."""
+    n = draw(st.integers(n_min, 16))
+    psi = np.array(draw(st.lists(ANGLE, min_size=n, max_size=n)))
+    d = draw(SCALES) * np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    arr = JointArrangement(psi=psi, d=d)
+    ev = np.linalg.eigvalsh(build_mp_inv(arr).T @ build_mp_inv(arr))
+    assume(ev[0] > ev[1] / MAX_COND)
+    return arr
+
+
+@st.composite
+def even_arrangements(draw, n_max=16):
+    """Evenly spaced joints on one radius, at any rotation: the closed
+    form at rotation 0, the pseudoinverse otherwise."""
+    n = draw(st.integers(3, n_max))
+    offset = draw(st.one_of(st.just(0.0), ANGLE))
+    psi = np.mod(offset + 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi)
+    return JointArrangement(psi=psi, d=np.full(n, draw(SCALES)))
+
+
+@st.composite
+def clarke_coordinates(draw, scale=None):
+    """cc of magnitude ``scale`` (drawn when None) in any direction."""
+    r = draw(SCALES) if scale is None else scale
+    angle = draw(ANGLE)
+    return ClarkeCoordinates(r * math.cos(angle), r * math.sin(angle))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestIdentityProperties:
+    @PROPERTY
+    @given(arr=arrangements())
+    def test_criterion_01_right_inverse(self, arr):
+        pair = build_pair(arr)
+        assert np.abs(pair.mp @ pair.mp_inv - np.eye(2)).max() <= 1e-12
+
+    @PROPERTY
+    @given(arr=even_arrangements(), c=SCALES, cc=clarke_coordinates())
+    def test_criterion_03_filter_property(self, arr, c, cc):
+        pair = build_pair(arr)
+        assert pair.filter_ok
+        assert np.abs(pair.mp @ np.full(pair.n, c)).max() <= 1e-13 * c
+        rho = inverse(pair, cc)
+        base, shifted = forward(pair, rho), forward(pair, rho + c)
+        tol = 1e-13 * (c + math.hypot(cc.rho_re, cc.rho_im))
+        assert abs(shifted.rho_re - base.rho_re) <= tol
+        assert abs(shifted.rho_im - base.rho_im) <= tol
+
+    @PROPERTY
+    @given(arr=even_arrangements(), cc=clarke_coordinates())
+    def test_criterion_04_sum_constraint(self, arr, cc):
+        rho = inverse(build_pair(arr), cc)
+        assert abs(float(np.sum(rho))) <= 1e-14 * arr.n * math.hypot(cc.rho_re, cc.rho_im)
+
+    @PROPERTY
+    @given(arr=even_arrangements(), cc=clarke_coordinates())
+    def test_criterion_05_magnitude_relation(self, arr, cc):
+        pair = build_pair(arr)
+        rho = inverse(pair, cc)
+        lhs = cc.rho_re**2 + cc.rho_im**2
+        rhs = (2.0 / pair.n) * float(rho @ rho)
+        assert abs(lhs - rhs) <= 1e-13 * lhs
+
+    @PROPERTY
+    @given(
+        arr=even_arrangements(),
+        beta=SCALES,
+        data=st.data(),
+        alphas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5),
+    )
+    def test_criterion_08_twist_immunity(self, arr, beta, data, alphas):
+        pair = build_pair(arr)
+        q = beta - inverse(pair, data.draw(clarke_coordinates(0.1 * beta)))
+        seg = SegmentSpec(arr, beta, SegmentType.TYPE3)
+
+        def cc(alpha):
+            return segment_forward(seg, JointState(Convention.Q, q, beta=beta, alpha=alpha)).cc
+
+        reference = cc(0.0)
+        assert all(cc(alpha) == reference for alpha in alphas)
+
+    @PROPERTY
+    @given(arr=even_arrangements(n_max=8), m=st.integers(1, 8), scale=SCALES, data=st.data())
+    def test_criterion_09_chain_consistency(self, arr, m, scale, data):
+        pair = build_pair(arr)
+        lengths = data.draw(st.lists(st.floats(0.5, 5.0), min_size=m, max_size=m))
+        robot = TestChainInvariants.chain_robot(arr, [scale * x for x in lengths])
+        ccs = [data.draw(clarke_coordinates(scale)) for _ in range(m)]
+        rhos = [inverse(pair, cc) for cc in ccs]
+        q = interdependent_accumulate(robot, rhos)
+        tol = 1e-13 * max(float(np.abs(v).max()) for v in q.per_segment)
+        for got, rho in zip(interdependent_forward(robot, q).per_segment, rhos):
+            want = forward(pair, rho)
+            assert abs(got.rho_re - want.rho_re) <= tol
+            assert abs(got.rho_im - want.rho_im) <= tol

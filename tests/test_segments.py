@@ -122,6 +122,17 @@ class TestRecoverLength:
         with pytest.raises(DimensionMismatch):
             recover_length(PAIR3, [1.0, 2.0])
 
+    def test_nan_residual_is_off_manifold(self):
+        # The sum overflows, so beta is inf and the residual NaN; the
+        # residual check refuses it instead of passing length inf on.
+        pair = build_pair(make_symmetric_arrangement(5, 10.0))
+        q = [6e-8, 1.6e308, 1e308, -1e308, -1.6e308]
+        seg = SegmentSpec(arrangement=pair.arrangement, length=100.0, seg_type=SegmentType.TYPE1)
+        for call in (lambda: recover_length(pair, q), lambda: type1_forward_from_q(pair, q),
+                     lambda: segment_forward(seg, JointState(Convention.Q, q))):
+            with np.errstate(all="ignore"), pytest.raises(OffManifold, match="joint lengths"):
+                call()
+
     def test_random_constructions(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
