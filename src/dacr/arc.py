@@ -155,22 +155,28 @@ def sample_backbone(arc: ArcParameters, points: int) -> BackbonePolyline:
         points: sample count including both endpoints, >= 2.
 
     Raises:
-        DomainError: if points < 2.
+        DomainError: if points < 2, or if the samples cannot be allocated.
     """
     if int(points) != points or points < 2:
         raise DomainError(f"need at least two sample points, got {points}")
-    s = np.linspace(0.0, arc.l, int(points))
-    u = arc.kappa / 2.0 * s
-    # np.sinc(t / pi) = sin(t) / t
-    chord = s * np.sinc(u / np.pi)
-    # Each column is written in place, which keeps the peak memory below
-    # that of stacking separately computed columns.
-    xyz = np.empty((s.shape[0], 3))
-    x, y, z = xyz.T
-    np.multiply(chord, np.sin(u), out=x)
-    np.multiply(x, math.sin(arc.theta), out=y)
-    x *= math.cos(arc.theta)
-    np.multiply(chord, np.cos(u), out=z)
+    # The largest count whose (points, 3) float array NumPy can index.
+    if points > np.iinfo(np.intp).max // (3 * np.dtype(float).itemsize):
+        raise DomainError(f"{points} sample points exceed the largest array NumPy can index")
+    try:
+        s = np.linspace(0.0, arc.l, int(points))
+        u = arc.kappa / 2.0 * s
+        # np.sinc(t / pi) = sin(t) / t
+        chord = s * np.sinc(u / np.pi)
+        # Each column is written in place, which keeps the peak memory
+        # below that of stacking separately computed columns.
+        xyz = np.empty((s.shape[0], 3))
+        x, y, z = xyz.T
+        np.multiply(chord, np.sin(u), out=x)
+        np.multiply(x, math.sin(arc.theta), out=y)
+        x *= math.cos(arc.theta)
+        np.multiply(chord, np.cos(u), out=z)
+    except MemoryError:
+        raise DomainError(f"cannot allocate {points} sample points") from None
     # At kappa = 0, x and y are +0.0 times cos or sin theta: -0.0 where
     # that is negative. Adding +0.0 gives +0.0, so a straight backbone
     # is the bare +z axis.

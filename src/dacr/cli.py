@@ -6,8 +6,9 @@ backbones). Exit codes are a stable contract:
 
     0  success
     1  input is well-formed but invalid (failed validation, off-manifold
-       joint lengths, out-of-domain values)
-    2  unreadable input or schema violation
+       joint lengths, out-of-domain values, too many sample points)
+    2  unreadable input, schema violation or usage error (unknown or
+       missing flag, wrongly typed value)
     3  degenerate joint arrangement
     4  dimension or convention mismatch
     5  arrangement lacks the offset-filtering property required by the
@@ -23,11 +24,12 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from dataclasses import asdict, replace
 from io import StringIO
-from typing import IO, Any, Callable
+from typing import IO, Any, Callable, NoReturn
 
 import numpy as np
 
@@ -78,9 +80,9 @@ def _emit(result: Any, out: str | None) -> None:
         fh.write(text.getvalue())
 
 
-def _load_robot(args: argparse.Namespace) -> RobotSpec:
+def _load_robot(path: str) -> RobotSpec:
     """Load the robot description; DomainError naming every violation."""
-    robot = io.load_robot(args.robot)
+    robot = io.load_robot(path)
     violations = validate_robot(robot)
     if violations:
         raise DomainError("invalid robot: " + "; ".join(
@@ -99,34 +101,37 @@ def _segment(robot: RobotSpec, index: int) -> SegmentSpec:
 
 
 def _single_state(
-    args: argparse.Namespace, convention: Convention, what: str
+    robot: str, input: str, segment: int, convention: Convention, what: str
 ) -> tuple[ClarkePair, JointState]:
     """The selected segment's pair and a single-segment state in one convention."""
-    robot = _load_robot(args)
-    state = io.load_state(args.input)
+    spec = _load_robot(robot)
+    state = io.load_state(input)
     if isinstance(state, ChainState) or state.convention is not convention:
         raise ConventionMismatch(f"{what} applies to a single {convention.value} state")
-    return build_pair(_segment(robot, args.segment).arrangement), state
+    return build_pair(_segment(spec, segment).arrangement), state
 
 
 def _chain_input(
-    args: argparse.Namespace, load: Callable[[str], Any]
+    robot: str, input: str, load: Callable[[str], Any]
 ) -> tuple[RobotSpec, ChainState | ChainClarke]:
     """The robot and a chain-shaped state, as the chain commands need."""
-    robot = _load_robot(args)
-    state = load(args.input)
+    spec = _load_robot(robot)
+    state = load(input)
     if not isinstance(state, (ChainState, ChainClarke)):
         raise SchemaError("chain commands need a chain-shaped state with 'segments'")
-    return robot, state
+    return spec, state
 
 
 # ---------------------------------------------------------------------------
 # command handlers
+#
+# Each parameter of a handler is the --flag of the same name: one without
+# a default is required, one with a default is optional with that default.
 
 
-def _cmd_matrix(args: argparse.Namespace) -> _Result:
-    pair = build_pair(_segment(_load_robot(args), args.segment).arrangement)
-    if args.format == "json":
+def _cmd_matrix(robot: str, segment: int = 0, format: str = "json") -> _Result:
+    pair = build_pair(_segment(_load_robot(robot), segment).arrangement)
+    if format == "json":
         return {
             "mp": pair.mp,
             "mp_inv": pair.mp_inv,
@@ -143,232 +148,202 @@ def _cmd_matrix(args: argparse.Namespace) -> _Result:
     return write, 0
 
 
-def _cmd_forward(args: argparse.Namespace) -> _Result:
-    robot = _load_robot(args)
-    state = io.load_state(args.input)
+def _cmd_forward(
+    robot: str, input: str, segment: int = 0, tol: float | None = None, alpha: float | None = None
+) -> _Result:
+    spec = _load_robot(robot)
+    state = io.load_state(input)
     if isinstance(state, ChainState):
-        return io.chain_clarke_dict(chain_forward(robot, state)), 0
-    seg = _segment(robot, args.segment)
-    if args.alpha is not None:
-        state = replace(state, alpha=args.alpha)
-    return io.clarke_state_dict(segment_forward(seg, state, args.tol)), 0
+        return io.chain_clarke_dict(chain_forward(spec, state)), 0
+    seg = _segment(spec, segment)
+    if alpha is not None:
+        state = replace(state, alpha=alpha)
+    return io.clarke_state_dict(segment_forward(seg, state, tol)), 0
 
 
-def _cmd_inverse(args: argparse.Namespace) -> _Result:
-    robot = _load_robot(args)
-    state = io.load_clarke(args.input)
+def _cmd_inverse(robot: str, input: str, segment: int = 0, alpha: float | None = None) -> _Result:
+    spec = _load_robot(robot)
+    state = io.load_clarke(input)
     if isinstance(state, ChainClarke):
-        return io.chain_state_dict(chain_inverse(robot, state)), 0
-    seg = _segment(robot, args.segment)
-    if args.alpha is not None:
-        state = replace(state, alpha=args.alpha)
+        return io.chain_state_dict(chain_inverse(spec, state)), 0
+    seg = _segment(spec, segment)
+    if alpha is not None:
+        state = replace(state, alpha=alpha)
     return io.joint_state_dict(segment_inverse(seg, state)), 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> _Result:
-    if args.input is None:
-        violations = validate_robot(io.load_robot(args.robot))
+def _cmd_validate(
+    robot: str, input: str | None = None, segment: int = 0, tol: float | None = None
+) -> _Result:
+    if input is None:
+        violations = validate_robot(io.load_robot(robot))
         return io.violations_dict(violations), 1 if violations else 0
-    robot = _load_robot(args)
-    state = io.load_state(args.input)
+    spec = _load_robot(robot)
+    state = io.load_state(input)
     if isinstance(state, ChainState):
-        checks = validate_chain_displacement(robot, state, args.tol)
+        checks = validate_chain_displacement(spec, state, tol)
         valid = all(c.valid for c in checks)
         return {"valid": valid, "segments": [asdict(c) for c in checks]}, 0 if valid else 1
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("displacement validation applies to rho states")
-    pair = build_pair(_segment(robot, args.segment).arrangement)
-    check = validate_displacement(pair, state.values, args.tol)
+    pair = build_pair(_segment(spec, segment).arrangement)
+    check = validate_displacement(pair, state.values, tol)
     return asdict(check), 0 if check.valid else 1
 
 
-def _cmd_project(args: argparse.Namespace) -> _Result:
-    pair, state = _single_state(args, Convention.RHO, "projection")
+def _cmd_project(robot: str, input: str, segment: int = 0) -> _Result:
+    pair, state = _single_state(robot, input, segment, Convention.RHO, "projection")
     projected = JointState(convention=Convention.RHO, values=project(pair, state.values))
     return io.joint_state_dict(projected), 0
 
 
-def _cmd_recover_length(args: argparse.Namespace) -> _Result:
-    pair, state = _single_state(args, Convention.Q, "length recovery")
-    return {"length": recover_length(pair, state.values, tol=args.tol)}, 0
+def _cmd_recover_length(
+    robot: str, input: str, segment: int = 0, tol: float | None = None
+) -> _Result:
+    pair, state = _single_state(robot, input, segment, Convention.Q, "length recovery")
+    return {"length": recover_length(pair, state.values, tol=tol)}, 0
 
 
-def _cmd_arc_to_clarke(args: argparse.Namespace) -> _Result:
-    cc = arc_to_clarke(io.load_arc(args.input), args.d)
+def _cmd_arc_to_clarke(input: str, d: float) -> _Result:
+    cc = arc_to_clarke(io.load_arc(input), d)
     return {"cc": [cc.rho_re, cc.rho_im]}, 0
 
 
-def _cmd_arc_from_clarke(args: argparse.Namespace) -> _Result:
-    state = io.load_clarke(args.input)
+def _cmd_arc_from_clarke(input: str, d: float, l: float) -> _Result:
+    state = io.load_clarke(input)
     if isinstance(state, ChainClarke):
         raise SchemaError("arc from-clarke takes a single Clarke state, not a chain")
-    return io.arc_dict(clarke_to_arc(state.cc, args.d, args.l)), 0
+    return io.arc_dict(clarke_to_arc(state.cc, d, l)), 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> _Result:
-    polyline = sample_backbone(io.load_arc(args.input), args.points)
-    if args.format == "json":
+def _cmd_sample(input: str, points: int, format: str = "csv") -> _Result:
+    polyline = sample_backbone(io.load_arc(input), points)
+    if format == "json":
         return {"s": polyline.s, "points": polyline.points}, 0
     return (lambda fh: io.write_polyline_csv(polyline, fh)), 0
 
 
-def _cmd_chain_forward(args: argparse.Namespace) -> _Result:
-    robot, state = _chain_input(args, io.load_state)
-    return io.chain_clarke_dict(chain_forward(robot, state)), 0
+def _cmd_chain_forward(robot: str, input: str) -> _Result:
+    spec, state = _chain_input(robot, input, io.load_state)
+    return io.chain_clarke_dict(chain_forward(spec, state)), 0
 
 
-def _cmd_chain_inverse(args: argparse.Namespace) -> _Result:
-    robot, state = _chain_input(args, io.load_clarke)
-    return io.chain_state_dict(chain_inverse(robot, state)), 0
+def _cmd_chain_inverse(robot: str, input: str) -> _Result:
+    spec, state = _chain_input(robot, input, io.load_clarke)
+    return io.chain_state_dict(chain_inverse(spec, state)), 0
 
 
-def _cmd_chain_accumulate(args: argparse.Namespace) -> _Result:
-    robot, state = _chain_input(args, io.load_state)
+def _cmd_chain_accumulate(robot: str, input: str) -> _Result:
+    spec, state = _chain_input(robot, input, io.load_state)
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("accumulation starts from per-segment rho vectors")
-    return io.chain_state_dict(interdependent_accumulate(robot, state.per_segment)), 0
+    return io.chain_state_dict(interdependent_accumulate(spec, state.per_segment)), 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# The type and shared help of each flag; a command's entry in _COMMANDS
+# adds its own help or choices. Every command also takes --out.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "robot": {"help": "robot description JSON file"},
+    "input": {},
+    "segment": {"type": int, "help": "segment index (default 0)"},
+    "tol": {"type": float},
+    "alpha": {"type": float, "help": "twist joint value override"},
+    "d": {"type": float, "help": "radial joint distance"},
+    "l": {"type": float, "help": "segment length"},
+    "points": {"type": int, "help": "sample count (>= 2)"},
+    "format": {},
+    "out": {"help": "output file (default: standard output)"},
+}
 
-def _add_robot(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--robot", required=True, help="robot description JSON file")
+# (command path, help, handler, per-command flag settings), in the order
+# of `dacr --help`.
+_COMMANDS: tuple[tuple[str, str, Callable[..., _Result], dict[str, dict[str, Any]]], ...] = (
+    ("matrix", "emit the transform matrices of one segment", _cmd_matrix,
+     {"format": {"choices": ("json", "csv")}}),
+    ("forward", "joint state to Clarke state", _cmd_forward,
+     {"input": {"help": "joint-state or chain-state JSON file"},
+      "tol": {"help": "off-manifold tolerance for q-side mappings"}}),
+    ("inverse", "Clarke state to joint state", _cmd_inverse,
+     {"input": {"help": "Clarke-state or chain Clarke JSON file"}}),
+    ("validate", "validate a robot or a displacement state", _cmd_validate,
+     {"input": {"help": "optional joint-state or chain-state JSON file"},
+      "tol": {"help": f"residual tolerance (default {DISPLACEMENT_REL} * max(1, max|rho|))"}}),
+    ("project", "project a vector onto the displacement manifold", _cmd_project,
+     {"input": {"help": "joint-state JSON file (rho convention)"}}),
+    ("recover-length", "recover segment length from joint lengths", _cmd_recover_length,
+     {"input": {"help": "joint-state JSON file (q convention)"},
+      "tol": {"help": "off-manifold tolerance"}}),
+    ("arc to-clarke", "arc parameters to Clarke coordinates", _cmd_arc_to_clarke,
+     {"input": {"help": "arc-parameter JSON file {kappa, theta, l}"}}),
+    ("arc from-clarke", "Clarke coordinates to arc parameters", _cmd_arc_from_clarke,
+     {"input": {"help": "Clarke-state JSON file {cc: [re, im]}"}}),
+    ("sample", "sample the backbone arc as a polyline", _cmd_sample,
+     {"input": {"help": "arc-parameter JSON file {kappa, theta, l}"},
+      "format": {"choices": ("csv", "json")}}),
+    ("chain forward", "chain state to per-segment Clarke coordinates", _cmd_chain_forward,
+     {"input": {"help": "chain-state JSON file"}}),
+    ("chain inverse", "per-segment Clarke coordinates to chain state", _cmd_chain_inverse,
+     {"input": {"help": "chain Clarke JSON file {segments: [{cc: ...}]}"}}),
+    ("chain accumulate", "per-segment rho to coupled joint lengths", _cmd_chain_accumulate,
+     {"input": {"help": "chain-state JSON file (rho convention)"}}),
+)
+
+# Each command group's help, and the metavar of its subcommands.
+_GROUPS = {
+    "arc": ("constant-curvature arc bridge", "direction"),
+    "chain": ("multi-segment operations", "operation"),
+}
 
 
-def _add_out(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", help="output file (default: standard output)")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are SchemaErrors (exit 2)."""
 
-
-def _add_segment(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--segment", type=int, default=0, help="segment index (default 0)")
-
-
-def _add_input(sp: argparse.ArgumentParser, help_text: str) -> None:
-    sp.add_argument("--input", required=True, help=help_text)
-
-
-def _add_tol(sp: argparse.ArgumentParser, help_text: str) -> None:
-    sp.add_argument("--tol", type=float, help=help_text)
+    def error(self, message: str) -> NoReturn:
+        raise SchemaError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dacr",
         description="Clarke-transform kinematics for displacement-actuated "
         "continuum robots.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("matrix", help="emit the transform matrices of one segment")
-    _add_robot(p)
-    _add_segment(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_matrix)
-
-    p = sub.add_parser("forward", help="joint state to Clarke state")
-    _add_robot(p)
-    _add_input(p, "joint-state or chain-state JSON file")
-    _add_segment(p)
-    _add_tol(p, "off-manifold tolerance for q-side mappings")
-    p.add_argument("--alpha", type=float, default=None, help="twist joint value override")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_forward)
-
-    p = sub.add_parser("inverse", help="Clarke state to joint state")
-    _add_robot(p)
-    _add_input(p, "Clarke-state or chain Clarke JSON file")
-    _add_segment(p)
-    p.add_argument("--alpha", type=float, default=None, help="twist joint value override")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_inverse)
-
-    p = sub.add_parser("validate", help="validate a robot or a displacement state")
-    _add_robot(p)
-    p.add_argument("--input", help="optional joint-state or chain-state JSON file")
-    _add_segment(p)
-    _add_tol(p, f"residual tolerance (default {DISPLACEMENT_REL} * max(1, max|rho|))")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("project", help="project a vector onto the displacement manifold")
-    _add_robot(p)
-    _add_input(p, "joint-state JSON file (rho convention)")
-    _add_segment(p)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_project)
-
-    p = sub.add_parser("recover-length", help="recover segment length from joint lengths")
-    _add_robot(p)
-    _add_input(p, "joint-state JSON file (q convention)")
-    _add_segment(p)
-    _add_tol(p, "off-manifold tolerance")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_recover_length)
-
-    p = sub.add_parser("arc", help="constant-curvature arc bridge")
-    arc_sub = p.add_subparsers(dest="subcommand", required=True, metavar="direction")
-
-    q = arc_sub.add_parser("to-clarke", help="arc parameters to Clarke coordinates")
-    _add_input(q, "arc-parameter JSON file {kappa, theta, l}")
-    q.add_argument("--d", type=float, required=True, help="radial joint distance")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_arc_to_clarke)
-
-    q = arc_sub.add_parser("from-clarke", help="Clarke coordinates to arc parameters")
-    _add_input(q, "Clarke-state JSON file {cc: [re, im]}")
-    q.add_argument("--d", type=float, required=True, help="radial joint distance")
-    q.add_argument("--l", type=float, required=True, help="segment length")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_arc_from_clarke)
-
-    p = sub.add_parser("sample", help="sample the backbone arc as a polyline")
-    _add_input(p, "arc-parameter JSON file {kappa, theta, l}")
-    p.add_argument("--points", type=int, required=True, help="sample count (>= 2)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("chain", help="multi-segment operations")
-    chain_sub = p.add_subparsers(dest="subcommand", required=True, metavar="operation")
-
-    q = chain_sub.add_parser("forward", help="chain state to per-segment Clarke coordinates")
-    _add_robot(q)
-    _add_input(q, "chain-state JSON file")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_chain_forward)
-
-    q = chain_sub.add_parser("inverse", help="per-segment Clarke coordinates to chain state")
-    _add_robot(q)
-    _add_input(q, "chain Clarke JSON file {segments: [{cc: ...}]}")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_chain_inverse)
-
-    q = chain_sub.add_parser("accumulate", help="per-segment rho to coupled joint lengths")
-    _add_robot(q)
-    _add_input(q, "chain-state JSON file (rho convention)")
-    _add_out(q)
-    q.set_defaults(handler=_cmd_chain_accumulate)
-
+    subparsers = {"": parser.add_subparsers(required=True, metavar="command")}
+    for path, help_text, handler, flags in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            group_help, metavar = _GROUPS[group]
+            p = subparsers[""].add_parser(group, help=group_help)
+            subparsers[group] = p.add_subparsers(required=True, metavar=metavar)
+        p = subparsers[group].add_parser(name, help=help_text)
+        for param in inspect.signature(handler).parameters.values():
+            required = param.default is param.empty
+            kwargs = {**_FLAGS[param.name], **flags.get(param.name, {})}
+            kwargs |= {"required": True} if required else {"default": param.default}
+            p.add_argument(f"--{param.name}", **kwargs)
+        p.add_argument("--out", **_FLAGS["out"])
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _check_finite_flags(args: argparse.Namespace) -> None:
-    for name, value in vars(args).items():
+def _check_finite_flags(flags: dict[str, Any]) -> None:
+    for name, value in flags.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"--{name} must be a finite number, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # No NumPy warning reaches stderr; the finiteness checks refuse overflows.
     try:
+        flags = vars(build_parser().parse_args(argv))
+        handler, out = flags.pop("handler"), flags.pop("out")
         with np.errstate(all="ignore"):
-            _check_finite_flags(args)
-            result, code = args.handler(args)
-            _emit(result, args.out)
+            _check_finite_flags(flags)
+            result, code = handler(**flags)
+            _emit(result, out)
         return code
     except (DacrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

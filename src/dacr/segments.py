@@ -104,12 +104,6 @@ def _set_joint_scalars(state: JointState | ExtendedClarkeState) -> None:
             object.__setattr__(state, name, value)
 
 
-def joint_lengths(l: float, rho) -> np.ndarray:
-    """Joint lengths from displacements: q_i = l - rho_i."""
-    rho = _as_vector(rho, name="rho")
-    return float(l) - rho
-
-
 def common_radius(arr: JointArrangement) -> float:
     """The shared radial distance of an arrangement.
 

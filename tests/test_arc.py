@@ -256,6 +256,14 @@ class TestSampleBackbone:
         with pytest.raises(DomainError):
             sample_backbone(BENT, points=points)
 
+    # Counts beyond the user address space only: a smaller one may
+    # really be allocated.
+    @pytest.mark.parametrize("points", [10**15, 10**30, 2**63 - 1],
+                             ids=["unallocatable", "too-large", "intp-max"])
+    def test_refuses_a_count_it_cannot_allocate(self, points):
+        with pytest.raises(DomainError, match=f"{points} sample points"):
+            sample_backbone(BENT, points=points)
+
 
 ANGLES = st.floats(0.0, 2.0 * np.pi, exclude_max=True)
 LENGTHS = st.floats(1e-3, 1e3)

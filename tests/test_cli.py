@@ -238,8 +238,9 @@ class TestForward:
     def test_length_hint_flag_is_gone(self, capsys, write):
         robot = write("robot.json", TYPE3_LONG_ARM)
         state = write("state.json", {"convention": "q", "values": [5.0, 5.0, 5.0], "alpha": 0.3})
-        with pytest.raises(SystemExit):
-            main(["forward", "--robot", robot, "--input", state, "--l", "8"])
+        code, out, err = run(capsys, ["forward", "--robot", robot, "--input", state, "--l", "8"])
+        assert (code, out) == (2, "")
+        assert err == "error: dacr: unrecognized arguments: --l 8\n"
 
 
 class TestInverse:
@@ -502,10 +503,10 @@ class TestExitCodes:
         class Custom(DomainError):
             exit_code = 3
 
-        def fail(args):
+        def fail(arrangement):
             raise Custom("custom")
 
-        monkeypatch.setattr(cli, "_cmd_matrix", fail)
+        monkeypatch.setattr(cli, "build_pair", fail)
         robot = write("robot.json", SYM3)
         assert run(capsys, ["matrix", "--robot", robot])[:2] == (3, "")
 
@@ -529,6 +530,12 @@ class TestExitCodes:
         code, _, err = run(capsys, ["sample", "--input", arc, "--points", "10"])
         assert code == 1
         assert "error:" in err
+
+    def test_code_1_unallocatable_sample_count(self, capsys, write):
+        arc = write("arc.json", {"kappa": 0.01, "theta": 0.0, "l": 100.0})
+        code, out, err = run(capsys, ["sample", "--input", arc, "--points", str(10**15)])
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot allocate {10**15} sample points\n"
 
     def test_code_2_malformed_json(self, capsys, write):
         robot = write("robot.json", "{not json")
@@ -717,8 +724,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["recover-length", "--robot", robot, "--input", state])
         assert code == 5
 
-    def test_usage_error_is_systemexit(self, capsys):
-        with pytest.raises(SystemExit):
-            main([])
-        with pytest.raises(SystemExit):
-            main(["matrix"])  # missing --robot
+    def test_usage_error_is_one_error_line(self, capsys):
+        for argv in (
+            [],
+            ["matrix"],  # missing --robot
+            ["matrix", "--robot", "robot.json", "--segment", "x"],
+            ["sample", "--input", "arc.json", "--points", "many"],
+            ["arc", "to-clarke", "--input", "arc.json", "--d", "ten"],
+            ["chain", "forward", "--robot", "r.json", "--input", "s.json", "--segment", "0"],
+            ["nonsense"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: dacr") and err.count("\n") == 1, (argv, err)
+
+    @pytest.mark.parametrize("argv", [[], ["chain"], ["arc", "from-clarke"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: dacr") and captured.err == ""

@@ -3,9 +3,9 @@
 Generated robot, state and flag files go through ``cli.main`` in
 process. Whatever the input, the exit code is one of the documented
 0-5, no exception escapes, stderr is empty or one ``error:`` line (no
-NumPy warning), a second run gives the same bytes, and a successful
-``forward``/``inverse`` prints exactly ``io.dump_json`` of the library
-result.
+NumPy warning), a usage error exits 2, a second run gives the same
+bytes, and a successful ``forward``/``inverse`` prints exactly
+``io.dump_json`` of the library result.
 """
 
 import json
@@ -143,7 +143,8 @@ SEGMENT_INDEX = st.sampled_from(["0", "0", "1", "-1"])
 
 @st.composite
 def requests(draw):
-    """(argv with {robot}/{input} placeholders, robot doc, input doc)."""
+    """(argv with {robot}/{input} placeholders, robot doc, input doc, the
+    usage fault put into argv or None)."""
     command = draw(
         st.sampled_from(
             ["forward", "inverse"] * 3
@@ -182,7 +183,21 @@ def requests(draw):
         argv += ["--points", draw(st.sampled_from(["2", "3", "1"]))]
     if command in ("matrix", "sample"):
         argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
-    return argv, robot, doc
+    fault = draw(st.sampled_from([None] * 5 + ["missing", "mistyped", "unknown"]))
+    words = len(command.split())
+    typed = [i for i, a in enumerate(argv) if a in ("--segment", "--points", "--d")]
+    if fault == "missing":
+        # The first flag is always a required one.
+        del argv[words:words + 2]
+    elif fault == "mistyped" and typed:
+        argv[draw(st.sampled_from(typed)) + 1] = draw(st.sampled_from(["x", "", "1,5", "0x10"]))
+    elif fault:
+        # A flag the command lacks; also the fault of a command without
+        # a typed flag to spoil.
+        fault = "unknown"
+        lacking = "--l" if command != "arc from-clarke" else "--robot"
+        argv += [draw(st.sampled_from(["--beta", lacking])), "1"]
+    return argv, robot, doc, fault
 
 
 def run(argv):
@@ -227,7 +242,7 @@ def workdir(tmp_path_factory):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(request=requests())
 def test_cli_contract(workdir, request):
-    argv, robot, doc = request
+    argv, robot, doc, fault = request
     paths = {"robot": workdir / "robot.json", "input": workdir / "input.json"}
     paths["robot"].write_text(json.dumps(robot))
     if doc is not None:
@@ -239,6 +254,10 @@ def test_cli_contract(workdir, request):
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
                          and err.endswith("\n")), (argv, err)
     assert run(argv) == (code, out, err)
+    if fault:
+        # A usage error: a required flag missing, a value of the wrong
+        # type or a flag the command lacks.
+        assert (code, out) == (2, "") and err, (argv, code, err)
     if err:
         assert out == ""
     elif code == 0 and argv[0] in ("forward", "inverse"):

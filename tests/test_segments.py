@@ -28,7 +28,6 @@ from dacr import (
     forward,
     helical_offset,
     inverse,
-    joint_lengths,
     make_symmetric_arrangement,
     recover_length,
     segment_forward,
@@ -46,6 +45,11 @@ ASYM = build_pair(
 )
 
 
+def joint_lengths(l, rho):
+    """Joint lengths from displacements: q_i = l - rho_i."""
+    return l - np.asarray(rho, dtype=float)
+
+
 def rho_forward(pair, seg_type, rho, beta=None, alpha=None):
     """segment_forward on a displacement state of the given segment type."""
     seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=seg_type)
@@ -58,19 +62,6 @@ def type3_q_forward(pair, q, beta, alpha):
     seg = SegmentSpec(arrangement=pair.arrangement, length=1.0, seg_type=SegmentType.TYPE3)
     state = JointState(convention=Convention.Q, values=q, beta=beta, alpha=alpha)
     return segment_forward(seg, state)
-
-
-class TestJointLengths:
-    @pytest.mark.parametrize(
-        "l, rho, expected",
-        [
-            (100.0, [2.0, -1.0, -1.0], [98.0, 101.0, 101.0]),
-            (5.0, [0.0, 0.0, 0.0], [5.0, 5.0, 5.0]),
-            (4.0, [2.0, -1.0, -1.0], [2.0, 5.0, 5.0]),
-        ],
-    )
-    def test_direct_subtraction(self, l, rho, expected):
-        np.testing.assert_array_equal(joint_lengths(l, rho), expected)
 
 
 class TestJointScalars:
