@@ -20,7 +20,6 @@ from .chain import (
     chain_forward,
     chain_inverse,
     independent_forward,
-    independent_inverse,
     interdependent_accumulate,
     interdependent_forward,
     interdependent_inverse,
@@ -112,7 +111,6 @@ __all__ = [
     "forward",
     "helical_offset",
     "independent_forward",
-    "independent_inverse",
     "interdependent_accumulate",
     "interdependent_forward",
     "interdependent_inverse",

@@ -104,12 +104,13 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
 
     kappa = |cc| / (d * l), theta = atan2(rho_im, rho_re). The length
     must be supplied: cc only determines the product l * kappa. A zero
-    cc is the straight configuration, where theta is undefined and is
-    reported as 0 (atan2 would give pi for a negative zero rho_re).
+    cc, or one whose curvature underflows, is the straight configuration,
+    where theta is undefined and is reported as 0 (atan2 would give pi
+    for a negative zero rho_re).
 
     Raises:
-        DomainError: if d <= 0 or l <= 0, if d * l underflows to zero,
-            or if the curvature overflows.
+        DomainError: if d <= 0 or l <= 0, if d * l underflows to zero or
+            overflows, or if the curvature overflows.
     """
     _positive("radial distance", d)
     _positive("segment length", l)
@@ -118,8 +119,11 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
         return ArcParameters(kappa=0.0, theta=0.0, l=float(l))
     if d * l == 0.0:
         raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
-    theta = _normalize_angles(math.atan2(cc.rho_im, cc.rho_re))
-    return ArcParameters(kappa=norm / (d * l), theta=theta, l=float(l))
+    if d * l == math.inf:
+        raise DomainError(f"d * l overflows (d = {d}, l = {l})")
+    kappa = norm / (d * l)
+    theta = _normalize_angles(math.atan2(cc.rho_im, cc.rho_re)) if kappa else 0.0
+    return ArcParameters(kappa=kappa, theta=theta, l=float(l))
 
 
 def arc_to_displacements(pair: ClarkePair, arc: ArcParameters, d: float) -> np.ndarray:

@@ -76,6 +76,15 @@ def _check_segment_count(robot: RobotSpec, count: int) -> None:
         )
 
 
+def _independent_segments(robot: RobotSpec, vectors: tuple[np.ndarray, ...]):
+    """Each segment's pair and vector, the segment count checked first, then each length."""
+    _check_segment_count(robot, len(vectors))
+    for seg, rho in zip(robot.segments, vectors):
+        pair = build_pair(seg.arrangement)
+        _check_length(rho, pair.n, "rho")
+        yield pair, rho
+
+
 def _shared_pair(robot: RobotSpec) -> ClarkePair:
     """The single Clarke pair shared by an interdependent chain, checked
     on the first call and returned as the same object on every later one.
@@ -134,13 +143,17 @@ def chain_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
 def chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
     """Joint-space vectors realizing per-segment Clarke coordinates,
     dispatched on the chain's coupling; roundtrips with :func:`chain_forward`.
+    An independent chain gets displacements from each segment's own pair.
 
     Raises:
-        As :func:`interdependent_inverse` or :func:`independent_inverse`.
+        DimensionMismatch, DomainError: segment count mismatch, or an overflowing
+            reconstruction; others as :func:`interdependent_inverse`.
     """
     if robot.coupling is Coupling.INTERDEPENDENT:
         return interdependent_inverse(robot, cc)
-    return independent_inverse(robot, cc)
+    _check_segment_count(robot, len(cc.per_segment))
+    rho = [inverse(build_pair(seg.arrangement), c) for seg, c in zip(robot.segments, cc.per_segment)]
+    return ChainState(convention=Convention.RHO, per_segment=tuple(rho))
 
 
 def validate_displacement(
@@ -153,16 +166,12 @@ def validate_displacement(
     Raises:
         ConventionMismatch: state holds q, not displacements.
         DimensionMismatch: segment count or vector length mismatch.
+        DomainError: tol is negative or NaN.
     """
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("displacement validation applies to rho states")
-    _check_segment_count(robot, len(state.per_segment))
-    checks = []
-    for seg, rho in zip(robot.segments, state.per_segment):
-        pair = build_pair(seg.arrangement)
-        _check_length(rho, pair.n, "rho")
-        checks.append(_validate_displacement(pair, rho, tol))
-    return tuple(checks)
+    pairs = _independent_segments(robot, state.per_segment)
+    return tuple(_validate_displacement(pair, rho, tol) for pair, rho in pairs)
 
 
 def independent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
@@ -183,33 +192,8 @@ def independent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
         )
     if state.convention is not Convention.RHO:
         raise ConventionMismatch("independent_forward expects displacements (rho)")
-    _check_segment_count(robot, len(state.per_segment))
-    out = []
-    for seg, rho in zip(robot.segments, state.per_segment):
-        pair = build_pair(seg.arrangement)
-        _check_length(rho, pair.n, "rho")
-        out.append(_forward(pair, rho))
-    return ChainClarke(per_segment=tuple(out))
-
-
-def independent_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
-    """Per-segment displacements realizing given Clarke coordinates for
-    independently actuated chains; roundtrips with :func:`independent_forward`.
-
-    Raises:
-        ConventionMismatch: robot is interdependent.
-        DimensionMismatch: segment count mismatch.
-    """
-    if robot.coupling is not Coupling.INDEPENDENT:
-        raise ConventionMismatch(
-            "robot couples segments interdependently; use interdependent_inverse"
-        )
-    _check_segment_count(robot, len(cc.per_segment))
-    vectors = tuple(
-        inverse(build_pair(seg.arrangement), c)
-        for seg, c in zip(robot.segments, cc.per_segment)
-    )
-    return ChainState(convention=Convention.RHO, per_segment=vectors)
+    pairs = _independent_segments(robot, state.per_segment)
+    return ChainClarke(per_segment=tuple(_forward(pair, rho) for pair, rho in pairs))
 
 
 def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:

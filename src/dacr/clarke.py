@@ -37,6 +37,7 @@ from .model import (
     FILTER_TOL,
     GRAM_DEGENERACY_REL,
     JointArrangement,
+    _checked_tol,
     _scaled_tol,
 )
 
@@ -249,7 +250,7 @@ def validate_displacement(pair: ClarkePair, rho, tol: float | None = None) -> Di
 
     Raises:
         DimensionMismatch: if rho does not have length n.
-        DomainError: if rho has a non-finite entry.
+        DomainError: if rho has a non-finite entry, or tol is negative or NaN.
     """
     return _validate_displacement(pair, _as_vector(rho, pair.n, "rho"), tol)
 
@@ -263,6 +264,8 @@ def _validate_displacement(pair: ClarkePair, rho: np.ndarray, tol: float | None)
         tol = DISPLACEMENT_REL
         if residual > tol:
             tol = _scaled_tol(DISPLACEMENT_REL, rho)
+    else:
+        _checked_tol(tol)
     return DisplacementCheck(valid=residual <= tol, residual_norm=residual)
 
 

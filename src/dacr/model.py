@@ -25,7 +25,8 @@ TWO_PI = 2.0 * np.pi
 
 # Every tolerance of the library. The two residual bounds scale with
 # the vector x they judge by one rule, REL * max(1, max|x_i|)
-# (:func:`_scaled_tol`); an explicit ``tol`` argument is absolute.
+# (:func:`_scaled_tol`); an explicit ``tol`` argument is absolute and
+# must be >= 0 (:func:`_checked_tol`).
 #
 # SYMMETRY_TOL_PSI: radians by which an angle may miss the evenly
 #     spaced pattern, or another arrangement's angle, and still match.
@@ -47,6 +48,13 @@ OFF_MANIFOLD_REL = 1e-6
 def _scaled_tol(rel: float, x: np.ndarray) -> float:
     """The one scale rule: rel * max(1, max|x_i|) for a finite 1-D x."""
     return rel * max(1.0, float(np.abs(x).max()))
+
+
+def _checked_tol(tol: float) -> float:
+    """An explicit tolerance, refused with DomainError unless tol >= 0 (so NaN too)."""
+    if not (tol >= 0.0):
+        raise DomainError(f"tol must be non-negative, got {tol}")
+    return tol
 
 
 def _positive(name: str, value: float) -> float:

@@ -47,6 +47,7 @@ from .model import (
     JointArrangement,
     SegmentSpec,
     SegmentType,
+    _checked_tol,
     _common_radius,
     _positive,
     _scaled_tol,
@@ -164,8 +165,7 @@ def _from_q(
             centered = q - (m - math.sqrt((m - a) * (m + a)))
         # ``sum / n`` is ``np.mean`` bit for bit.
         beta = _positive("recovered length", float(centered.sum() / centered.shape[0]))
-        if tol is None:
-            tol = _scaled_tol(OFF_MANIFOLD_REL, centered)
+        tol = _scaled_tol(OFF_MANIFOLD_REL, centered) if tol is None else _checked_tol(tol)
         residual = _residual(pair, centered - beta)
         if not (residual <= tol):  # also refuses a NaN residual
             raise OffManifold(
@@ -202,7 +202,8 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
 
     Raises:
         DimensionMismatch: wrong q length.
-        DomainError: q has a non-finite entry, or mean(q) is not positive.
+        DomainError: q has a non-finite entry, mean(q) is not positive, or
+            tol is negative or NaN.
         FilterPropertyUnavailable: if pair.filter_ok is false.
         OffManifold: if, after removing the recovered constant, q is not
             a valid displacement vector within tol.
@@ -247,14 +248,15 @@ def helical_offset(alpha: float, d: float, l: float) -> float:
     strictly increasing in |alpha|.
 
     Raises:
-        DomainError: if d <= 0 or l <= 0.
+        DomainError: if d <= 0 or l <= 0, or the offset is not finite.
     """
     _positive("radial distance", d)
     _positive("segment length", l)
     a = float(alpha) * float(d)
-    if a == 0.0:
-        return 0.0
-    return a * a / (math.hypot(a, l) + l)
+    offset = a * a / (math.hypot(a, l) + l)
+    if not math.isfinite(offset):
+        raise DomainError(f"helical offset is not finite (alpha = {alpha}, d = {d}, l = {l})")
+    return offset
 
 
 def type3_forward_from_q(

@@ -110,6 +110,21 @@ class TestClarkeToArc:
         assert arc.kappa == 0.0
         assert not arc.theta_defined
 
+    def test_underflowing_curvature_reports_theta_zero(self):
+        # Straight, so not theta pi/4 with theta_defined False.
+        arc = clarke_to_arc(ClarkeCoordinates(1e-300, 1e-300), d=1e50, l=1e50)
+        assert (arc.kappa, arc.theta, arc.theta_defined) == (0.0, 0.0, False)
+
+    @pytest.mark.parametrize("cc, d, l", [((3.0, 4.0), 1e308, 1e308), ((1e300, 0.0), 1e308, 10.0)])
+    def test_overflowing_d_times_l_is_domain_error(self, cc, d, l):
+        # norm / inf would be kappa 0: a bent arc reported as straight.
+        with pytest.raises(DomainError, match="d \\* l overflows"):
+            clarke_to_arc(ClarkeCoordinates(*cc), d=d, l=l)
+
+    def test_zero_cc_is_straight_whatever_d_times_l(self):
+        arc = clarke_to_arc(ClarkeCoordinates(0.0, 0.0), d=1e308, l=1e308)
+        assert (arc.kappa, arc.theta) == (0.0, 0.0)
+
     def test_quarter_plane_angle(self):
         arc = clarke_to_arc(ClarkeCoordinates(0.0, 5.0), d=10.0, l=100.0)
         assert arc.theta == pytest.approx(np.pi / 2, rel=1e-15)

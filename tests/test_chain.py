@@ -29,7 +29,6 @@ from dacr import (
     chain_inverse,
     forward,
     independent_forward,
-    independent_inverse,
     interdependent_accumulate,
     interdependent_forward,
     interdependent_inverse,
@@ -276,7 +275,7 @@ class TestIndependentForward:
 class TestIndependentInverse:
     def test_segments_with_different_joint_counts(self):
         rob = robot([ARR3, ARR4], (10.0, 20.0), Coupling.INDEPENDENT)
-        out = independent_inverse(
+        out = chain_inverse(
             rob, ChainClarke((ClarkeCoordinates(2.0, 0.0), ClarkeCoordinates(1.0, 0.0)))
         )
         assert out.convention is Convention.RHO
@@ -287,7 +286,7 @@ class TestIndependentInverse:
         rob = robot([ARR3, ARR4, ARR3], (10.0, 20.0, 5.0), Coupling.INDEPENDENT)
         pairs = [(1.0, -2.0), (0.5, 3.0), (0.0, 0.0)]
         cc = ChainClarke(tuple(ClarkeCoordinates(re, im) for re, im in pairs))
-        back = independent_forward(rob, independent_inverse(rob, cc))
+        back = independent_forward(rob, chain_inverse(rob, cc))
         for a, b in zip(back.per_segment, cc.per_segment):
             assert a.rho_re == pytest.approx(b.rho_re, abs=1e-12)
             assert a.rho_im == pytest.approx(b.rho_im, abs=1e-12)
@@ -295,12 +294,7 @@ class TestIndependentInverse:
     def test_rejects_wrong_segment_count(self):
         rob = robot([ARR3, ARR3], (10.0, 20.0), Coupling.INDEPENDENT)
         with pytest.raises(DimensionMismatch):
-            independent_inverse(rob, ChainClarke((ClarkeCoordinates(0.0, 0.0),)))
-
-    def test_rejects_interdependent_robot(self):
-        cc = ChainClarke((ClarkeCoordinates(0.0, 0.0), ClarkeCoordinates(0.0, 0.0)))
-        with pytest.raises(ConventionMismatch):
-            independent_inverse(interdependent(), cc)
+            chain_inverse(rob, ChainClarke((ClarkeCoordinates(0.0, 0.0),)))
 
 
 class TestPairsBuiltOnce:
@@ -508,7 +502,8 @@ class TestChainDispatch:
         local = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
         rho = chain_inverse(local, cc)
         assert rho.convention is Convention.RHO
-        assert as_bits(rho.per_segment) == as_bits(independent_inverse(local, cc).per_segment)
+        per_segment = [inverse(build_pair(a), c) for a, c in zip((ARR3, ARR4), cc.per_segment)]
+        assert as_bits(rho.per_segment) == as_bits(per_segment)
         assert chain_forward(local, rho) == independent_forward(local, rho)
 
     def test_validate_matches_per_segment_check(self):

@@ -510,6 +510,23 @@ class TestExitCodes:
         robot = write("robot.json", SYM3)
         assert run(capsys, ["matrix", "--robot", robot])[:2] == (3, "")
 
+    def test_code_1_overflowing_d_times_l(self, capsys, write):
+        # 5 / inf would be kappa 0: a bent arc reported as straight.
+        cc = write("cc.json", {"cc": [3.0, 4.0]})
+        argv = ["arc", "from-clarke", "--input", cc, "--d", "1e308", "--l", "1e308"]
+        assert run(capsys, argv) == (1, "", "error: d * l overflows (d = 1e+308, l = 1e+308)\n")
+
+    @pytest.mark.parametrize(
+        "command, state",
+        [("recover-length", {"convention": "q", "values": [98.0, 101.0, 101.0]}),
+         ("validate", {"convention": "rho", "values": [2.0, -1.0, -1.0]})],
+    )
+    def test_code_1_negative_tol(self, capsys, write, command, state):
+        # Not an off-manifold error or "valid": false: no residual is below -1.
+        argv = [command, "--robot", write("robot.json", SYM3),
+                "--input", write("state.json", state), "--tol", "-1"]
+        assert run(capsys, argv) == (1, "", "error: tol must be non-negative, got -1.0\n")
+
     def test_code_1_non_positive_recovered_length(self, capsys, write):
         robot = write("robot.json", SYM3)
         state = write("state.json", {"convention": "q", "values": [-5.0, -5.0, -5.0]})

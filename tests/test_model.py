@@ -1,16 +1,29 @@
-"""Robot description model: arrangements, segments, validation."""
+"""Robot description model: arrangements, segments, validation, tolerances."""
+
+import math
 
 import numpy as np
 import pytest
 
+import dacr.chain as chain_module
 from dacr import (
+    ChainState,
+    Convention,
     Coupling,
     DomainError,
     JointArrangement,
+    JointState,
+    OffManifold,
     RobotSpec,
     SegmentSpec,
     SegmentType,
+    build_pair,
     make_symmetric_arrangement,
+    recover_length,
+    segment_forward,
+    type1_forward_from_q,
+    type3_forward_from_q,
+    validate_displacement,
     validate_robot,
 )
 from dacr.model import TWO_PI, arrangements_match
@@ -180,3 +193,40 @@ class TestEnums:
         robot = RobotSpec(segments=[s], coupling="interdependent")
         assert robot.coupling is Coupling.INTERDEPENDENT
         assert isinstance(robot.segments, tuple)
+
+
+ARR3 = make_symmetric_arrangement(3, 10.0)
+RHO = [2.0, -1.0, -1.0]
+Q = [98.0, 101.0, 101.0]
+# Every library entry point that uses an explicit tol, as a function of it.
+TOL_ENTRY_POINTS = {
+    "clarke.validate_displacement": lambda tol: validate_displacement(build_pair(ARR3), RHO, tol),
+    "chain.validate_displacement": lambda tol: chain_module.validate_displacement(
+        RobotSpec(segments=(seg(ARR3),)), ChainState(Convention.RHO, (RHO,)), tol),
+    "recover_length": lambda tol: recover_length(build_pair(ARR3), Q, tol),
+    "type1_forward_from_q": lambda tol: type1_forward_from_q(build_pair(ARR3), Q, tol),
+    "type3_forward_from_q": lambda tol: type3_forward_from_q(build_pair(ARR3), Q, 0.1, 10.0, tol=tol),
+    "segment_forward": lambda tol: segment_forward(
+        seg(ARR3, seg_type=SegmentType.TYPE1), JointState(Convention.Q, Q), tol),
+}
+
+
+class TestExplicitTolerance:
+    @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+    def test_negative_or_nan_tol_is_refused_where_it_is_used(self, entry):
+        call = TOL_ENTRY_POINTS[entry]
+        for tol in (-1.0, -1e-300, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="tol must be non-negative"):
+                call(tol)
+        # 0 is a valid bound, which accepts only a residual of exactly 0.
+        for tol in (0.0, -0.0, 1e-9, math.inf):
+            try:
+                call(tol)
+            except OffManifold:
+                assert tol == 0.0
+
+    def test_unused_tol_stays_ignored(self):
+        state = JointState(Convention.Q, Q)
+        assert segment_forward(seg(ARR3), state, -1.0) == segment_forward(seg(ARR3), state)
+        rho = JointState(Convention.RHO, RHO)
+        assert segment_forward(seg(ARR3), rho, math.nan) == segment_forward(seg(ARR3), rho)

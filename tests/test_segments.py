@@ -247,6 +247,22 @@ class TestHelicalOffset:
         with pytest.raises(DomainError):
             helical_offset(1.0, d, l)
 
+    @pytest.mark.parametrize(
+        "alpha, d",
+        [(1e200, 1e200), (1e150, 1e150), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
+         (1.0, math.inf)],
+    )
+    def test_non_finite_offset_is_domain_error(self, alpha, d):
+        # inf/inf, a NaN factor or an overflowing (alpha*d)**2.
+        with pytest.raises(DomainError, match="helical offset is not finite"):
+            helical_offset(alpha, d, 1.0)
+
+    def test_overflowing_twist_arm_in_type3_inverse(self):
+        seg = SegmentSpec(arrangement=PAIR3.arrangement, length=1.0, seg_type=SegmentType.TYPE3)
+        state = ExtendedClarkeState(ClarkeCoordinates(1.0, 0.0), beta=4.0, alpha=1e308)
+        with pytest.raises(DomainError, match="helical offset is not finite"):
+            segment_inverse(seg, state)
+
 
 class TestTypeThree:
     def test_forward_worked_example(self):
