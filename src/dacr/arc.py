@@ -47,9 +47,11 @@ class ArcParameters:
 
     def __post_init__(self) -> None:
         kappa, theta, l = float(self.kappa), float(self.theta), float(self.l)
-        for name, value in (("kappa", kappa), ("theta", theta), ("l", l), ("phi", l * kappa)):
-            if not math.isfinite(value):
-                raise DomainError(f"arc parameter {name} is non-finite: {value}")
+        # phi = l * kappa is not finite if l or kappa is not; 0.0 * phi is then NaN.
+        if not math.isfinite(theta + 0.0 * (l * kappa)):
+            values = {"kappa": kappa, "theta": theta, "l": l, "phi": l * kappa}
+            name = next(name for name, value in values.items() if not math.isfinite(value))
+            raise DomainError(f"arc parameter {name} is non-finite: {values[name]}")
         if not (kappa >= 0.0):
             raise DomainError(f"curvature must be non-negative, got {kappa}")
         _positive("segment length", l)
@@ -122,7 +124,8 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     if d * l == math.inf:
         raise DomainError(f"d * l overflows (d = {d}, l = {l})")
     kappa = norm / (d * l)
-    theta = _normalize_angles(math.atan2(cc.rho_im, cc.rho_re)) if kappa else 0.0
+    # ArcParameters reduces theta into [0, 2*pi).
+    theta = math.atan2(cc.rho_im, cc.rho_re) if kappa else 0.0
     return ArcParameters(kappa=kappa, theta=theta, l=float(l))
 
 

@@ -28,6 +28,7 @@ from .clarke import (
     ClarkePair,
     DisplacementCheck,
     _as_vector,
+    _check_finite,
     _check_length,
     _forward,
     _validate_displacement,
@@ -54,12 +55,24 @@ class ChainState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "convention", Convention(self.convention))
-        vectors = []
-        for i, values in enumerate(self.per_segment):
-            v = _as_vector(values, name=f"segment {i} values")
-            v.flags.writeable = False
-            vectors.append(v)
-        object.__setattr__(self, "per_segment", tuple(vectors))
+        object.__setattr__(self, "per_segment", _frozen_rows(self.per_segment))
+
+
+def _frozen_rows(rows) -> tuple[np.ndarray, ...]:
+    """Each row as a read-only finite 1-D float vector. One finiteness test
+    covers all rows; only if it fails (a non-finite entry, a row not 1-D, no
+    rows) is each row checked alone, so the first faulty row raises its error."""
+    try:
+        vectors = [np.asarray(values, dtype=float) for values in rows]
+        flat = np.concatenate(vectors)  # raises, or is not 1-D, for a row that is not 1-D
+        ok = flat.ndim == 1 and np.count_nonzero(np.isfinite(flat)) == flat.shape[0]
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        vectors = [_as_vector(v, name=f"segment {i} values") for i, v in enumerate(rows)]
+    for v in vectors:
+        v.setflags(write=False)
+    return tuple(vectors)
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,7 @@ class ChainClarke:
 
 def _check_segment_count(robot: RobotSpec, count: int) -> None:
     if count != len(robot.segments):
-        raise DimensionMismatch(
-            f"state has {count} segments, robot has {len(robot.segments)}"
-        )
+        raise DimensionMismatch(f"state has {count} segments, robot has {len(robot.segments)}")
 
 
 def _independent_segments(robot: RobotSpec, vectors: tuple[np.ndarray, ...]):
@@ -107,15 +118,11 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
     if pair is not None:
         return pair
     if robot.coupling is not Coupling.INTERDEPENDENT:
-        raise ConventionMismatch(
-            "robot couples segments independently; use independent_forward"
-        )
+        raise ConventionMismatch("robot couples segments independently; use independent_forward")
     if not robot.segments:
         raise DomainError("robot has no segments")
     # Segment types are reported before arrangements.
-    faults = sorted(
-        interdependent_violations(robot.segments), key=lambda v: v.field == "joints"
-    )
+    faults = sorted(interdependent_violations(robot.segments), key=lambda v: v.field == "joints")
     if faults:
         error = ArrangementMismatch if faults[0].field == "joints" else ConventionMismatch
         raise error(f"segment {faults[0].segment}: {faults[0].message}")
@@ -212,21 +219,21 @@ def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:
     """
     pair = _shared_pair(robot)
     rho = [_as_vector(r, pair.n, f"segment {j} rho") for j, r in enumerate(rho_per_seg)]
-    return _accumulate(robot, rho)
+    return _accumulate(robot, np.array(rho))
 
 
-def _accumulate(robot: RobotSpec, rho_per_seg: list[np.ndarray]) -> ChainState:
-    """:func:`interdependent_accumulate` on finite length-n vectors.
+def _accumulate(robot: RobotSpec, rho: np.ndarray) -> ChainState:
+    """:func:`interdependent_accumulate` on a finite (m, n) stack.
 
-    One running sum down the stacked (m, n) array: row j is
-    l^j - rho^j + q^(j-1), added in the order of the recurrence, so
-    the result is that of the recurrence bit for bit. Adding +0.0
-    turns a -0.0 into +0.0, as the recurrence's start from zeros does.
-    A sum that overflows is refused by the ChainState that holds it.
+    One running sum down the stack: row j is l^j - rho^j + q^(j-1),
+    added in the order of the recurrence, so the result is that of the
+    recurrence bit for bit. Adding +0.0 turns a -0.0 into +0.0, as the
+    recurrence's start from zeros does. A sum that overflows is refused
+    by the ChainState that holds it.
     """
-    _check_segment_count(robot, len(rho_per_seg))
+    _check_segment_count(robot, len(rho))
     lengths = np.array([seg.length for seg in robot.segments])
-    q = (lengths[:, None] - np.array(rho_per_seg)).cumsum(axis=0) + 0.0
+    q = np.add.accumulate(lengths[:, None] - rho, axis=0) + 0.0
     return ChainState(convention=Convention.Q, per_segment=tuple(q))
 
 
@@ -249,13 +256,11 @@ def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
     if state.convention is not Convention.Q:
         raise ConventionMismatch("interdependent_forward expects joint lengths (q)")
     _check_segment_count(robot, len(state.per_segment))
-    out = []
-    prev = None
+    mp, n, out, prev = pair.mp, pair.n, [], None
     for q in state.per_segment:
-        _check_length(q, pair.n, "q")
-        cur = pair.mp @ q
-        cc = -cur if prev is None else prev - cur
-        out.append(ClarkeCoordinates(float(cc[0]), float(cc[1])))
+        _check_length(q, n, "q")
+        cur = mp @ q
+        out.append(ClarkeCoordinates(*(-cur if prev is None else prev - cur).tolist()))
         prev = cur
     return ChainClarke(per_segment=tuple(out))
 
@@ -263,7 +268,9 @@ def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:
 def interdependent_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
     """Coupled joint lengths realizing given per-segment Clarke coordinates.
 
-    Reconstructs each segment's displacement vector, then accumulates.
+    Reconstructs all displacement vectors in one stacked product, which
+    on the contiguous (m, 2) stack gives each row of
+    :func:`~dacr.clarke.inverse` bit for bit, then accumulates.
     Roundtrips with :func:`interdependent_forward`.
 
     Raises:
@@ -272,4 +279,6 @@ def interdependent_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
         DomainError: a reconstruction overflows.
     """
     pair = _shared_pair(robot)
-    return _accumulate(robot, [inverse(pair, c) for c in cc.per_segment])
+    stack = np.array([(c.rho_re, c.rho_im) for c in cc.per_segment]).reshape(-1, 2)
+    rho = np.matmul(pair.mp_inv, stack[..., None])[..., 0]
+    return _accumulate(robot, _check_finite(rho, "reconstructed rho"))

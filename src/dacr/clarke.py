@@ -102,9 +102,11 @@ class ClarkePair:
 
 def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate a joint-space vector: a finite 1-D float array, of length n
-    when n is given."""
-    out = np.atleast_1d(np.asarray(values, dtype=float))
-    if out.ndim != 1:
+    when n is given; a scalar is a vector of length 1."""
+    out = np.asarray(values, dtype=float)
+    if out.ndim == 0:
+        out = out.reshape(1)
+    elif out.ndim != 1:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {out.shape}")
     if n is not None:
         _check_length(out, n, name)
@@ -112,10 +114,10 @@ def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray
 
 
 def _check_finite(vector: np.ndarray, name: str) -> np.ndarray:
-    """A 1-D vector, refused with DomainError if any entry is NaN or infinite."""
+    """An array, refused with DomainError if any entry is NaN or infinite."""
     # count_nonzero is a plain C call, about half the cost of .all()
     # on the short vectors of a control loop.
-    if np.count_nonzero(np.isfinite(vector)) != vector.shape[0]:
+    if np.count_nonzero(np.isfinite(vector)) != vector.size:
         raise DomainError(f"{name} must be finite")
     return vector
 
@@ -205,8 +207,7 @@ def forward(pair: ClarkePair, rho) -> ClarkeCoordinates:
 
 def _forward(pair: ClarkePair, rho: np.ndarray) -> ClarkeCoordinates:
     """:func:`forward` on a validated length-n vector."""
-    cc = pair.mp @ rho
-    return ClarkeCoordinates(float(cc[0]), float(cc[1]))
+    return ClarkeCoordinates(*(pair.mp @ rho).tolist())
 
 
 def inverse(pair: ClarkePair, cc: ClarkeCoordinates) -> np.ndarray:
@@ -272,8 +273,15 @@ def _validate_displacement(pair: ClarkePair, rho: np.ndarray, tol: float | None)
 def _residual(pair: ClarkePair, x: np.ndarray) -> float:
     """Euclidean distance from a validated length-n vector to its projection.
 
-    ``math.sqrt(r @ r)`` is what ``np.linalg.norm`` computes for a 1-D
-    vector, bit for bit, without its dispatch.
+    ``math.sqrt(np.vdot(r, r))`` is ``np.linalg.norm`` of a 1-D vector,
+    bit for bit, without its dispatch or an overflow warning. Past |r| of
+    about 1e154 the sum of squares overflows, and r is rescaled by max|r|.
     """
     r = x - pair.projector @ x
-    return math.sqrt(r @ r)
+    residual = math.sqrt(np.vdot(r, r))
+    if residual == math.inf:
+        scale = float(np.abs(r).max())
+        if scale < math.inf:
+            r = r / scale
+            residual = scale * math.sqrt(np.vdot(r, r))
+    return residual

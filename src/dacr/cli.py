@@ -24,6 +24,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -329,6 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`main`'s parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _check_finite_flags(flags: dict[str, Any]) -> None:
     for name, value in flags.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -338,7 +345,7 @@ def _check_finite_flags(flags: dict[str, Any]) -> None:
 def main(argv: list[str] | None = None) -> int:
     # No NumPy warning reaches stderr; the finiteness checks refuse overflows.
     try:
-        flags = vars(build_parser().parse_args(argv))
+        flags = vars(_parser().parse_args(argv))
         handler, out = flags.pop("handler"), flags.pop("out")
         with np.errstate(all="ignore"):
             _check_finite_flags(flags)

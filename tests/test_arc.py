@@ -1,5 +1,7 @@
 """Constant-curvature bridge and backbone sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from dacr import (
     sample_backbone,
     validate_displacement,
 )
+from dacr.model import _normalize_angles
 
 BENT = ArcParameters(kappa=0.005, theta=0.0, l=100.0)
 
@@ -57,6 +60,17 @@ class TestArcParameters:
     def test_non_finite_refused(self, kwargs):
         with pytest.raises(DomainError, match="non-finite"):
             ArcParameters(**kwargs)
+
+    @pytest.mark.parametrize("kappa, theta, l, message", [
+        (np.inf, 0.0, 0.0, "kappa is non-finite: inf"),
+        (0.0, -np.inf, 1.0, "theta is non-finite: -inf"),
+        (0.0, 0.0, np.inf, "l is non-finite: inf"),
+        (np.nan, np.nan, np.nan, "kappa is non-finite: nan"),
+        (1e308, 0.0, 1e10, "phi is non-finite: inf"),
+    ])
+    def test_non_finite_names_the_first_parameter(self, kappa, theta, l, message):
+        with pytest.raises(DomainError, match=f"^arc parameter {message}$"):
+            ArcParameters(kappa=kappa, theta=theta, l=l)
 
 
 class TestArcToClarke:
@@ -323,3 +337,15 @@ class TestSampleBackboneAccuracy:
         poly = sample_backbone(ArcParameters(kappa=0.0, theta=theta, l=l), points)
         zeros = np.zeros_like(poly.s)
         assert poly.points.tobytes() == np.column_stack((zeros, zeros, poly.s)).tobytes()
+
+
+class TestClarkeToArcKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        re=st.floats(-1e6, 1e6, allow_subnormal=True),
+        im=st.floats(-1e6, 1e6, allow_subnormal=True),
+    )
+    def test_theta_is_the_reduced_atan2(self, re, im):
+        arc = clarke_to_arc(ClarkeCoordinates(re, im), d=10.0, l=100.0)
+        want = _normalize_angles(math.atan2(im, re)) if arc.kappa else 0.0
+        assert np.float64(arc.theta).tobytes() == np.float64(want).tobytes()

@@ -468,26 +468,59 @@ class TestEmptyInterdependentRobot:
 
 
 class TestChainSingleValidation:
-    """Each vector is checked once: when the ChainState holding it is built."""
+    """Each ChainState is checked once, when it is built, in one pass over
+    its rows; valid rows are never checked one by one."""
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_interdependent_forward(self, validations, m):
         rob = interdependent(m=m, lengths=(1.0, 2.0, 3.0))
         state = ChainState(Convention.Q, tuple(np.full(3, 1.0 + j) for j in range(m)))
         interdependent_forward(rob, state)
-        assert len(validations) == m
+        assert validations == ["chain rows"]
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_interdependent_inverse(self, validations, m):
         rob = interdependent(m=m, lengths=(1.0, 2.0, 3.0))
         cc = ChainClarke(tuple(ClarkeCoordinates(1.0, -0.5) for _ in range(m)))
         interdependent_inverse(rob, cc)
-        assert len(validations) == m
+        assert validations == ["chain rows"]
 
     def test_independent_forward(self, validations):
         rob = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
         independent_forward(rob, ChainState(Convention.RHO, (np.zeros(3), np.zeros(4))))
-        assert len(validations) == 2
+        assert validations == ["chain rows"]
+
+
+class TestChainStateRows:
+    """The one-pass check of a ChainState's rows keeps the per-row errors:
+    their class, message and order."""
+
+    def test_rows_become_read_only_float_vectors(self):
+        state = ChainState(Convention.RHO, ([1, 2, 3], np.arange(4.0)))
+        assert [v.dtype for v in state.per_segment] == [np.float64] * 2
+        assert not any(v.flags.writeable for v in state.per_segment)
+        assert as_bits(state.per_segment) == as_bits([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
+
+    def test_scalar_row_is_a_vector_of_length_one(self):
+        state = ChainState(Convention.Q, (2.0, np.float64(3.0)))
+        assert as_bits(state.per_segment) == as_bits([[2.0], [3.0]])
+
+    def test_no_rows(self):
+        assert ChainState(Convention.Q, ()).per_segment == ()
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (([np.nan, 0.0], np.zeros((2, 2))), DomainError, "segment 0 values must be finite"),
+            ((np.zeros((2, 2)), [np.nan, 0.0]), DimensionMismatch, "segment 0 values must be one-dimensional"),
+            (([0.0], [1.0], [0.0, np.inf]), DomainError, "segment 2 values must be finite"),
+            ((np.zeros((1, 3)), np.zeros((1, 3))), DimensionMismatch, "segment 0 values must be one-dimensional"),
+            (([1.0], 2.0, [[3.0]]), DimensionMismatch, "segment 2 values must be one-dimensional"),
+        ],
+    )
+    def test_first_faulty_row_raises_its_own_error(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            ChainState(Convention.RHO, rows)
 
 
 class TestChainDispatch:
@@ -596,6 +629,30 @@ class TestChainKernelsMatchReference:
         got = interdependent_inverse(rob, ChainClarke(tuple(coords)))
         pair = build_pair(arr)
         want = self.reference_accumulate([inverse(pair, c) for c in coords], lengths)
+        assert as_bits(got.per_segment) == as_bits(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 24),
+        m=st.integers(1, 16),
+        scale=st.floats(-3.0, 7.0).map(lambda e: 10.0**e),
+        data=st.data(),
+    )
+    def test_stacked_inverse_over_scales(self, n, m, scale, data):
+        """The one stacked product against per-segment ``inverse`` and a
+        ``cumsum``, the inverse as it was written segment by segment."""
+        arr = make_symmetric_arrangement(n, 10.0)
+        lengths = data.draw(st.lists(st.floats(0.5, 200.0), min_size=m, max_size=m))
+        unit = st.floats(-1.0, 1.0)
+        coords = [
+            ClarkeCoordinates(*(scale * x for x in data.draw(st.tuples(unit, unit))))
+            for _ in range(m)
+        ]
+        rob = robot([arr] * m, lengths, Coupling.INTERDEPENDENT)
+        got = interdependent_inverse(rob, ChainClarke(tuple(coords)))
+        pair = build_pair(arr)
+        rho = np.array([inverse(pair, c) for c in coords])
+        want = (np.array(lengths)[:, None] - rho).cumsum(axis=0) + 0.0
         assert as_bits(got.per_segment) == as_bits(want)
 
     @settings(max_examples=200, deadline=None, derandomize=True)

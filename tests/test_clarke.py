@@ -19,6 +19,7 @@ from dacr import (
     inverse,
     make_symmetric_arrangement,
     project,
+    recover_length,
     validate_displacement,
 )
 from dacr.clarke import _pseudoinverse_mp
@@ -384,3 +385,37 @@ class TestResidualKernel:
         check = validate_displacement(pair, rho)
         assert bits(check.residual_norm) == bits(reference)
         assert check.valid == (reference <= 1e-9 * max(1.0, float(np.max(np.abs(rho)))))
+
+
+class TestForwardKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 12), data=st.data())
+    def test_coordinates_are_those_of_the_matmul(self, n, data):
+        pair = build_pair(make_symmetric_arrangement(n, 10.0))
+        rho = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+        cc = forward(pair, rho)
+        reference = pair.mp @ rho
+        assert bits(cc.rho_re) + bits(cc.rho_im) == reference.tobytes()
+
+
+class TestResidualOverflow:
+    """Past |r| of about 1e154 the sum of squares overflows; the residual
+    is rescaled and stays finite."""
+
+    PAIR = build_pair(make_symmetric_arrangement(3, 10.0))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e199, 1e300])
+    def test_large_on_manifold_vector_is_valid(self, scale):
+        rho = inverse(self.PAIR, ClarkeCoordinates(3 * scale, 4 * scale))
+        check = validate_displacement(self.PAIR, rho)
+        assert check.valid
+        assert 0.0 <= check.residual_norm < 1e-12 * scale
+
+    def test_large_off_manifold_residual_is_its_norm(self):
+        check = validate_displacement(self.PAIR, np.full(3, 1e200), tol=0.0)
+        assert not check.valid
+        assert check.residual_norm == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+
+    def test_large_joint_lengths_recover_their_length(self):
+        rho = inverse(self.PAIR, ClarkeCoordinates(3e199, 4e199))
+        assert recover_length(self.PAIR, 3e200 - rho) == pytest.approx(3e200, rel=1e-15)

@@ -345,6 +345,12 @@ class TestValidate:
             capsys, ["validate", "--robot", robot, "--input", state, "--tol", "1e-9"])
         assert (code, json.loads(out)["valid"]) == (1, False)
 
+    def test_state_of_huge_displacements(self, capsys, write):
+        robot = write("robot.json", SYM3)
+        state = write("state.json", {"convention": "rho", "values": [1e308, -5e307, -5e307]})
+        doc = run_json(capsys, ["validate", "--robot", robot, "--input", state])
+        assert doc["valid"] is True and math.isfinite(doc["residual_norm"])
+
     def test_chain_state(self, capsys, write):
         robot = write("robot.json", CHAIN2)
         state = write("state.json", {
@@ -390,6 +396,13 @@ class TestProjectAndRecover:
         doc = run_json(
             capsys, ["recover-length", "--robot", robot, "--input", state, "--tol", "1.0"])
         assert doc["length"] == pytest.approx(100.0, abs=1e-12)
+
+    def test_recover_length_of_huge_joint_lengths(self, capsys, write):
+        # |q - mean(q)| squared overflows; the residual is rescaled.
+        robot = write("robot.json", SYM3)
+        state = write("state.json", {"convention": "q", "values": [1e300, 1.0000000000000002e300, 1e300]})
+        doc = run_json(capsys, ["recover-length", "--robot", robot, "--input", state])
+        assert doc["length"] == pytest.approx(1e300, rel=1e-15)
 
 
 class TestArcCommands:
@@ -762,3 +775,40 @@ class TestExitCodes:
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: dacr") and captured.err == ""
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; every call behaves as
+    with a fresh parser."""
+
+    def test_calls_match_a_fresh_parser(self, capsys, write, monkeypatch):
+        robot = write("robot.json", {"segments": [
+            {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 4, "d": 10.0}}},
+        ]})
+        state = write("state.json", {"convention": "q", "values": [100.1, 99.9, 100.1, 99.9]})
+        forward = ["forward", "--robot", robot, "--input", state]
+        calls = [
+            [*forward, "--tol", "1.0"],
+            forward,  # off the manifold at the default tol, so --tol is not kept
+            [*forward, "--segment", "x"],
+            ["forward", "--help"],
+            ["matrix", "--robot", robot],
+        ]
+
+        def outcomes():
+            seen = []
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen
+
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        reused = outcomes()
+        assert [code for code, _, _ in reused] == [0, 1, 2, ("exit", 0), 0]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert outcomes() == reused

@@ -5,7 +5,9 @@ process. Whatever the input, the exit code is one of the documented
 0-5, no exception escapes, stderr is empty or one ``error:`` line (no
 NumPy warning), a usage error exits 2, a second run gives the same
 bytes, and a successful ``forward``/``inverse`` prints exactly
-``io.dump_json`` of the library result.
+``io.dump_json`` of the library result. At least 20 of the 200
+requests reach the tolerance rule (an explicit --tol checked, or the
+default tolerance scaled), so a change to that rule is seen.
 """
 
 import json
@@ -19,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dacr.clarke
+import dacr.segments
 from dacr import chain_forward, chain_inverse, io, segment_forward, segment_inverse
 from dacr.chain import ChainClarke, ChainState
 from dacr.cli import main
@@ -142,9 +146,35 @@ SEGMENT_INDEX = st.sampled_from(["0", "0", "1", "-1"])
 
 
 @st.composite
+def tolerance_requests(draw):
+    """Requests that reach the tolerance rule: ``forward`` or
+    ``recover-length`` of an on-manifold q on a symmetric type-1 or
+    type-3 segment, or ``validate`` of an on-manifold rho, with or
+    without --tol."""
+    command = draw(st.sampled_from(["forward", "recover-length", "validate"]))
+    seg_type = draw(st.sampled_from(["type1", "type3"]))
+    joints = draw(SYMMETRIC)
+    robot = {"segments": [{"type": seg_type, "length": 100.0, "joints": joints}]}
+    n, unit = joints["symmetric"]["n"], st.floats(-50.0, 50.0)
+    a, b = draw(unit), draw(unit)
+    convention, shift = ("rho", 0.0) if command == "validate" else ("q", draw(LENGTHS))
+    values = [shift - a * math.cos(2 * math.pi * i / n) - b * math.sin(2 * math.pi * i / n)
+              for i in range(n)]
+    doc = {"convention": convention, "values": values}
+    if seg_type == "type3":
+        doc["alpha"] = draw(st.sampled_from([0.3, -0.1, 0.0]))
+    argv = [*command.split(), "--robot", "{robot}", "--input", "{input}", "--segment", "0"]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(FLAGS)]
+    return argv, robot, doc, None
+
+
+@st.composite
 def requests(draw):
     """(argv with {robot}/{input} placeholders, robot doc, input doc, the
     usage fault put into argv or None)."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(tolerance_requests())
     command = draw(
         st.sampled_from(
             ["forward", "inverse"] * 3
@@ -239,27 +269,42 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(request=requests())
-def test_cli_contract(workdir, request):
-    argv, robot, doc, fault = request
-    paths = {"robot": workdir / "robot.json", "input": workdir / "input.json"}
-    paths["robot"].write_text(json.dumps(robot))
-    if doc is not None:
-        paths["input"].write_text(json.dumps(doc))
-    argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
+def test_cli_contract(workdir, monkeypatch):
+    # Every call of the tolerance rule: an explicit tol checked, or the
+    # default tolerance scaled to the data.
+    tol_calls = []
+    for module in (dacr.clarke, dacr.segments):
+        for name in ("_checked_tol", "_scaled_tol"):
+            rule = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, rule=rule: tol_calls.append(1) or rule(*args))
+    reached = []
 
-    code, out, err = run(argv)
-    assert code in range(6), (argv, code, err)
-    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
-                         and err.endswith("\n")), (argv, err)
-    assert run(argv) == (code, out, err)
-    if fault:
-        # A usage error: a required flag missing, a value of the wrong
-        # type or a flag the command lacks.
-        assert (code, out) == (2, "") and err, (argv, code, err)
-    if err:
-        assert out == ""
-    elif code == 0 and argv[0] in ("forward", "inverse"):
-        with np.errstate(all="ignore"):
-            assert out == library_result(argv, str(paths["robot"]), str(paths["input"]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(request=requests())
+    def check(request):
+        argv, robot, doc, fault = request
+        paths = {"robot": workdir / "robot.json", "input": workdir / "input.json"}
+        paths["robot"].write_text(json.dumps(robot))
+        if doc is not None:
+            paths["input"].write_text(json.dumps(doc))
+        argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
+
+        before = len(tol_calls)
+        code, out, err = run(argv)
+        reached.append(len(tol_calls) > before)
+        assert code in range(6), (argv, code, err)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                             and err.endswith("\n")), (argv, err)
+        assert run(argv) == (code, out, err)
+        if fault:
+            # A usage error: a required flag missing, a value of the wrong
+            # type or a flag the command lacks.
+            assert (code, out) == (2, "") and err, (argv, code, err)
+        if err:
+            assert out == ""
+        elif code == 0 and argv[0] in ("forward", "inverse"):
+            with np.errstate(all="ignore"):
+                assert out == library_result(argv, str(paths["robot"]), str(paths["input"]))
+
+    check()
+    assert sum(reached) >= 20, f"{sum(reached)} of {len(reached)} requests reached the tolerance rule"
