@@ -24,7 +24,7 @@ import numpy as np
 
 from .clarke import ClarkeCoordinates, ClarkePair, inverse
 from .errors import DomainError
-from .model import _normalize_angles, _positive
+from .model import _normalize_angles, _positive, _readonly
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,8 @@ class BackbonePolyline:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=float)
-        points = np.asarray(self.points, dtype=float)
-        s.flags.writeable = False
-        points.flags.writeable = False
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "s", _readonly(self.s))
+        object.__setattr__(self, "points", _readonly(self.points))
 
 
 def arc_to_clarke(arc: ArcParameters, d: float) -> ClarkeCoordinates:

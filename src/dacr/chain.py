@@ -42,7 +42,7 @@ from .errors import (
     DomainError,
     FilterPropertyUnavailable,
 )
-from .model import Coupling, RobotSpec, interdependent_violations
+from .model import Coupling, RobotSpec, _readonly, interdependent_violations
 from .segments import Convention
 
 
@@ -59,19 +59,21 @@ class ChainState:
 
 
 def _frozen_rows(rows) -> tuple[np.ndarray, ...]:
-    """Each row as a read-only finite 1-D float vector. One finiteness test
-    covers all rows; only if it fails (a non-finite entry, a row not 1-D, no
-    rows) is each row checked alone, so the first faulty row raises its error."""
+    """Each row as a private read-only finite 1-D float copy. One finiteness test
+    covers all rows; only if it fails (a non-finite or non-numeric entry, a row
+    not 1-D, no rows) is each row checked alone, so the first faulty row raises."""
     try:
-        vectors = [np.asarray(values, dtype=float) for values in rows]
+        rows = tuple(rows)  # a generator is read once, for both passes
+    except TypeError:
+        raise DomainError(f"a chain state needs a sequence of rows, got {rows!r}") from None
+    try:
+        vectors = [_readonly(values) for values in rows]
         flat = np.concatenate(vectors)  # raises, or is not 1-D, for a row that is not 1-D
         ok = flat.ndim == 1 and np.count_nonzero(np.isfinite(flat)) == flat.shape[0]
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        vectors = [_as_vector(v, name=f"segment {i} values") for i, v in enumerate(rows)]
-    for v in vectors:
-        v.setflags(write=False)
+        vectors = [_readonly(_as_vector(v, name=f"segment {i} values")) for i, v in enumerate(rows)]
     return tuple(vectors)
 
 

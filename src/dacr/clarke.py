@@ -19,9 +19,10 @@ check what they are given (shape, length, finiteness) and raise a
 :class:`~dacr.errors.DacrError`; ``_``-prefixed kernels trust their
 input and only compute. The state dataclasses (``ClarkeCoordinates``,
 ``segments.JointState``, ``chain.ChainState``) check their values when
-they are built and hold them as finite floats or read-only 1-D
-vectors, so a function that receives one checks only what the state
-cannot know, such as the joint count of the segment.
+they are built and hold them as finite floats or private read-only 1-D
+copies, so no later write by the caller reaches them, and a function
+that receives one checks only what the state cannot know, such as the
+joint count of the segment.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
     GRAM_DEGENERACY_REL,
     JointArrangement,
     _checked_tol,
+    _readonly,
     _scaled_tol,
 )
 
@@ -103,7 +105,10 @@ class ClarkePair:
 def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate a joint-space vector: a finite 1-D float array, of length n
     when n is given; a scalar is a vector of length 1."""
-    out = np.asarray(values, dtype=float)
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # text, ragged rows
+        raise DomainError(f"{name} must hold numbers ({exc})") from None
     if out.ndim == 0:
         out = out.reshape(1)
     elif out.ndim != 1:
@@ -179,13 +184,10 @@ def build_pair(arr: JointArrangement) -> ClarkePair:
     else:
         mp = _pseudoinverse_mp(mp_inv)
     filter_ok = bool(np.max(np.abs(mp @ np.ones(arr.n))) <= FILTER_TOL)
-    mp = mp.copy()
-    projector = mp_inv @ mp
-    for a in (mp, mp_inv, projector):
-        a.flags.writeable = False
-    pair = ClarkePair(
-        arrangement=arr, mp=mp, mp_inv=mp_inv, projector=projector, filter_ok=filter_ok
-    )
+    # The projector is built from the C-ordered copy of mp: its bits
+    # depend on that layout.
+    mp, mp_inv = _readonly(mp), _readonly(mp_inv)
+    pair = ClarkePair(arr, mp, mp_inv, _readonly(mp_inv @ mp), filter_ok)
     object.__setattr__(arr, "_pair", pair)
     return pair
 

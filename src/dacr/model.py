@@ -88,9 +88,10 @@ def _common_radius(d: np.ndarray) -> float | None:
     return None
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
+def _readonly(a) -> np.ndarray:
+    """A private, C-ordered, read-only float copy: the one way a state holds an array."""
+    a = np.array(a, dtype=float, order="C")
+    a.setflags(write=False)  # half the cost of assigning a.flags.writeable
     return a
 
 
@@ -112,8 +113,10 @@ class JointArrangement:
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        psi = np.atleast_1d(np.asarray(self.psi, dtype=float))
-        d = np.atleast_1d(np.asarray(self.d, dtype=float))
+        try:
+            psi, d = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.psi, self.d))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"psi and d must hold numbers ({exc})") from None
         if psi.ndim != 1 or d.ndim != 1:
             raise DomainError("psi and d must be one-dimensional")
         if psi.shape[0] != d.shape[0]:

@@ -50,6 +50,7 @@ from .model import (
     _checked_tol,
     _common_radius,
     _positive,
+    _readonly,
     _scaled_tol,
 )
 
@@ -76,9 +77,7 @@ class JointState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "convention", Convention(self.convention))
-        values = _as_vector(self.values, name="values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _readonly(_as_vector(self.values, name="values")))
         _set_joint_scalars(self)
 
 
@@ -136,11 +135,12 @@ def _from_q(
 
     Its checks run in one order: the vector (shape, length, finiteness),
     the filter property, the common radius, the value domain, the
-    off-manifold residual. Type I recovers beta as mean(q); type III
-    without beta recovers it as :func:`type3_forward_from_q` describes,
-    at radius d or, when d is None, the arrangement's common radius;
-    otherwise beta and alpha pass through. q may be a JointState, whose
-    values the state has already checked for shape and finiteness.
+    off-manifold residual. Without beta, a length-joint type recovers it
+    from m = mean(q): beta = m (type I), or as :func:`type3_forward_from_q`
+    describes (type III, at radius d or, when d is None, the arrangement's
+    common radius); the residual is that of q - m, its default bound scaled
+    by max|q_i|. Otherwise beta and alpha pass through. q may be a
+    JointState, whose values the state has already checked.
     """
     if isinstance(q, JointState):
         q = q.values
@@ -152,31 +152,27 @@ def _from_q(
             "joint lengths need an arrangement whose forward matrix "
             "annihilates constant vectors"
         )
-    if t is SegmentType.TYPE1 or (t is SegmentType.TYPE3 and beta is None):
-        centered = q
-        if t is SegmentType.TYPE3:
+    if t.has_length_joint and beta is None:
+        # ``sum / n`` is ``np.mean`` bit for bit.
+        beta = m = float(q.sum() / q.shape[0])
+        if t.has_twist_joint:
             d = common_radius(pair.arrangement) if d is None else _positive("radial distance", d)
-            m = float(q.sum() / q.shape[0])
             a = abs(float(alpha) * float(d))
             if not (m > a):
                 raise DomainError(
                     f"mean joint length {m} does not exceed the twist arm |alpha*d| = {a}"
                 )
-            centered = q - (m - math.sqrt((m - a) * (m + a)))
-        # ``sum / n`` is ``np.mean`` bit for bit.
-        beta = _positive("recovered length", float(centered.sum() / centered.shape[0]))
-        tol = _scaled_tol(OFF_MANIFOLD_REL, centered) if tol is None else _checked_tol(tol)
-        residual = _residual(pair, centered - beta)
+            beta = math.sqrt((m - a) * (m + a))
+        beta = _positive("recovered length", beta)
+        tol = _scaled_tol(OFF_MANIFOLD_REL, q) if tol is None else _checked_tol(tol)
+        residual = _residual(pair, q - m)
         if not (residual <= tol):  # also refuses a NaN residual
             raise OffManifold(
                 f"joint lengths are not consistent with any on-manifold displacement "
                 f"(residual {residual:.3e} > tol {tol:.3e})"
             )
     # The sign flips because q = l*ones - rho; the constant l is filtered.
-    cc = pair.mp @ q
-    return ExtendedClarkeState(
-        ClarkeCoordinates(-float(cc[0]), -float(cc[1])), beta=beta, alpha=alpha
-    )
+    return ExtendedClarkeState(ClarkeCoordinates(*(-(pair.mp @ q)).tolist()), beta, alpha)
 
 
 def _q_from_cc(pair: ClarkePair, cc: ClarkeCoordinates, length: float) -> np.ndarray:
@@ -271,10 +267,12 @@ def type3_forward_from_q(
 
     On the manifold mean(q) = beta + helical_offset(alpha, d, beta)
     = hypot(alpha*d, beta), so with m = mean(q) and a = |alpha*d| the
-    length is beta = sqrt((m - a) * (m + a)). Length recovery then runs
-    on the compensated q - (m - beta). The Clarke coordinates come from
-    the raw q: constants are filtered, so the compensation cannot change
-    them.
+    length is beta = sqrt((m - a) * (m + a)), in its last bit not always
+    the mean of the compensated q - (m - beta). As in type I, the residual
+    is that of q - m (in exact arithmetic, of the compensated q minus
+    beta), its default bound scales with max|q_i|, and a finite q whose
+    mean overflows is OffManifold (a NaN residual). The Clarke
+    coordinates come from the raw q: constants are filtered out.
 
     Args:
         pair: matrices for the segment's arrangement.
@@ -357,14 +355,12 @@ def segment_inverse(seg: SegmentSpec, state: ExtendedClarkeState) -> JointState:
     pair = build_pair(seg.arrangement)
     t = seg.seg_type
     _check_joints(t, state.beta, state.alpha)
-    if t.has_length_joint and state.beta is None:
+    if not t.has_length_joint:
+        return JointState(Convention.RHO, inverse(pair, state.cc), alpha=state.alpha)
+    if state.beta is None:
         raise ConventionMismatch(f"{t.value} inverse needs beta")
-
-    if t is SegmentType.TYPE1:
-        return JointState(convention=Convention.Q, values=_q_from_cc(pair, state.cc, state.beta))
-    if t is SegmentType.TYPE3:
-        d = common_radius(pair.arrangement)
-        length = state.beta + helical_offset(state.alpha, d, state.beta)
-        q = _q_from_cc(pair, state.cc, length)
-        return JointState(convention=Convention.Q, values=q, beta=state.beta, alpha=state.alpha)
-    return JointState(convention=Convention.RHO, values=inverse(pair, state.cc), alpha=state.alpha)
+    length = state.beta
+    if t.has_twist_joint:
+        length += helical_offset(state.alpha, common_radius(pair.arrangement), state.beta)
+    beta = state.beta if t.has_twist_joint else None
+    return JointState(Convention.Q, _q_from_cc(pair, state.cc, length), beta, state.alpha)

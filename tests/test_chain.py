@@ -516,11 +516,22 @@ class TestChainStateRows:
             (([0.0], [1.0], [0.0, np.inf]), DomainError, "segment 2 values must be finite"),
             ((np.zeros((1, 3)), np.zeros((1, 3))), DimensionMismatch, "segment 0 values must be one-dimensional"),
             (([1.0], 2.0, [[3.0]]), DimensionMismatch, "segment 2 values must be one-dimensional"),
+            (([1.0], ["a", 1.0]), DomainError, "segment 1 values must hold numbers"),
+            (([1.0], [[1.0], [2.0, 3.0]]), DomainError, "segment 1 values must hold numbers"),
+            (None, DomainError, "a chain state needs a sequence of rows"),
         ],
     )
     def test_first_faulty_row_raises_its_own_error(self, rows, error, message):
         with pytest.raises(error, match=message):
             ChainState(Convention.RHO, rows)
+
+    def test_rows_from_a_generator_are_read_once(self):
+        # Both passes see the same rows, so a faulty row is not dropped
+        # by a second read of a spent generator.
+        with pytest.raises(DomainError, match="segment 1 values must be finite"):
+            ChainState(Convention.RHO, (row for row in ([0.0], [np.nan])))
+        state = ChainState(Convention.RHO, (row for row in ([0.0], [1.0])))
+        assert as_bits(state.per_segment) == as_bits([[0.0], [1.0]])
 
 
 class TestChainDispatch:

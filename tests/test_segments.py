@@ -296,6 +296,13 @@ class TestTypeThree:
         assert state.beta == pytest.approx(4.0, rel=1e-9)
         assert state.alpha == 0.3
 
+    def test_overflowing_mean_is_off_manifold(self):
+        # mean(q) overflows to inf, so beta is inf and the residual of q - m
+        # NaN: refused by the residual check, as in type I.
+        pair = build_pair(make_symmetric_arrangement(3, 1.0))
+        with np.errstate(all="ignore"), pytest.raises(OffManifold, match="joint lengths"):
+            type3_forward_from_q(pair, [1.7e308] * 3, alpha=0.5, d=1.0)
+
     def test_forward_from_q_straight_untwisted(self):
         state = type3_forward_from_q(PAIR3, [6.0, 6.0, 6.0], alpha=0.0, d=10.0)
         assert state.cc.rho_re == pytest.approx(0.0, abs=1e-12)
@@ -569,6 +576,24 @@ def reference_recover_length(pair, q, tol=None):
     return length
 
 
+def reference_type3_length(pair, q, a):
+    """Type-III length recovery with NumPy's reductions: beta = sqrt((m - a)(m + a))
+    for m = mean(q), refused unless m > a and beta > 0, and the residual of
+    q - m judged against OFF_MANIFOLD_REL * max(1, max|q|)."""
+    m = float(np.mean(q))
+    if not (m > a):
+        raise DomainError(f"mean joint length {m}")
+    beta = math.sqrt((m - a) * (m + a))
+    if not (beta > 0.0):
+        raise DomainError(f"recovered length {beta}")
+    tol = OFF_MANIFOLD_REL * max(1.0, float(np.max(np.abs(q))))
+    centered = q - m
+    residual = float(np.linalg.norm(centered - pair.projector @ centered))
+    if not (residual <= tol):
+        raise OffManifold(f"residual {residual:.3e} > tol {tol:.3e}")
+    return beta
+
+
 def outcome(fn, *args, **kwargs):
     """The result of a call, or the class of the DacrError it raised."""
     try:
@@ -621,9 +646,7 @@ class TestKernelsMatchReference:
         rho = inverse(pair, ClarkeCoordinates(cc[0] * 1e-6, cc[1] * 1e-6))
         q = (l + helical_offset(alpha, d, l)) - rho
 
-        m = float(np.mean(q))
-        a = abs(alpha * d)
-        beta = outcome(reference_recover_length, pair, q - (m - math.sqrt((m - a) * (m + a))))
+        beta = outcome(reference_type3_length, pair, q, abs(alpha * d))
         got = outcome(type3_forward_from_q, pair, q, alpha, d)
         if not isinstance(beta, float):
             assert got is beta
