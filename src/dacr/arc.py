@@ -24,7 +24,7 @@ import numpy as np
 
 from .clarke import ClarkeCoordinates, ClarkePair, inverse
 from .errors import DomainError
-from .model import _normalize_angles, _positive, _readonly
+from .model import _normalize_angles, _number, _positive, _readonly
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,10 @@ class ArcParameters:
     l: float
 
     def __post_init__(self) -> None:
-        kappa, theta, l = float(self.kappa), float(self.theta), float(self.l)
+        try:
+            kappa, theta, l = float(self.kappa), float(self.theta), float(self.l)
+        except (TypeError, ValueError, OverflowError):  # _number names the first that fails
+            kappa, theta, l = (_number(n, getattr(self, n)) for n in ("kappa", "theta", "l"))
         # phi = l * kappa is not finite if l or kappa is not; 0.0 * phi is then NaN.
         if not math.isfinite(theta + 0.0 * (l * kappa)):
             values = {"kappa": kappa, "theta": theta, "l": l, "phi": l * kappa}
@@ -54,10 +57,9 @@ class ArcParameters:
             raise DomainError(f"arc parameter {name} is non-finite: {values[name]}")
         if not (kappa >= 0.0):
             raise DomainError(f"curvature must be non-negative, got {kappa}")
-        _positive("segment length", l)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "theta", _normalize_angles(theta))
-        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "l", _positive("segment length", l))
 
     @property
     def theta_defined(self) -> bool:
@@ -110,11 +112,11 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
         DomainError: if d <= 0 or l <= 0, if d * l underflows to zero or
             overflows, or if the curvature overflows.
     """
-    _positive("radial distance", d)
-    _positive("segment length", l)
+    d = _positive("radial distance", d)
+    l = _positive("segment length", l)
     norm = math.hypot(cc.rho_re, cc.rho_im)
     if norm == 0.0:
-        return ArcParameters(kappa=0.0, theta=0.0, l=float(l))
+        return ArcParameters(kappa=0.0, theta=0.0, l=l)
     if d * l == 0.0:
         raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
     if d * l == math.inf:
@@ -122,7 +124,7 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     kappa = norm / (d * l)
     # ArcParameters reduces theta into [0, 2*pi).
     theta = math.atan2(cc.rho_im, cc.rho_re) if kappa else 0.0
-    return ArcParameters(kappa=kappa, theta=theta, l=float(l))
+    return ArcParameters(kappa=kappa, theta=theta, l=l)
 
 
 def arc_to_displacements(pair: ClarkePair, arc: ArcParameters, d: float) -> np.ndarray:
@@ -158,15 +160,16 @@ def sample_backbone(arc: ArcParameters, points: int) -> BackbonePolyline:
         points: sample count including both endpoints, >= 2.
 
     Raises:
-        DomainError: if points < 2, or if the samples cannot be allocated.
+        DomainError: if points is not a whole number >= 2, or cannot be allocated.
     """
-    if int(points) != points or points < 2:
+    count = _number("sample count", points)
+    if not (count.is_integer() and count >= 2):
         raise DomainError(f"need at least two sample points, got {points}")
     # The largest count whose (points, 3) float array NumPy can index.
-    if points > np.iinfo(np.intp).max // (3 * np.dtype(float).itemsize):
+    if count > np.iinfo(np.intp).max // (3 * np.dtype(float).itemsize):
         raise DomainError(f"{points} sample points exceed the largest array NumPy can index")
     try:
-        s = np.linspace(0.0, arc.l, int(points))
+        s = np.linspace(0.0, arc.l, int(count))
         u = arc.kappa / 2.0 * s
         # np.sinc(t / pi) = sin(t) / t
         chord = s * np.sinc(u / np.pi)

@@ -42,7 +42,7 @@ from .errors import (
     DomainError,
     FilterPropertyUnavailable,
 )
-from .model import Coupling, RobotSpec, _readonly, interdependent_violations
+from .model import Coupling, RobotSpec, _member, _readonly, interdependent_violations
 from .segments import Convention
 
 
@@ -54,7 +54,7 @@ class ChainState:
     per_segment: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "convention", Convention(self.convention))
+        object.__setattr__(self, "convention", _member(Convention, self.convention, "convention"))
         object.__setattr__(self, "per_segment", _frozen_rows(self.per_segment))
 
 
@@ -213,14 +213,16 @@ def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:
 
     Args:
         robot: interdependent robot description.
-        rho_per_seg: one displacement vector per segment.
+        rho_per_seg: one displacement vector per segment, read as ChainState rows.
 
     Raises:
         ConventionMismatch, ArrangementMismatch, FilterPropertyUnavailable,
         DimensionMismatch: see :func:`_shared_pair`.
     """
     pair = _shared_pair(robot)
-    rho = [_as_vector(r, pair.n, f"segment {j} rho") for j, r in enumerate(rho_per_seg)]
+    rho = _frozen_rows(rho_per_seg)
+    for r in rho:
+        _check_length(r, pair.n, "rho")
     return _accumulate(robot, np.array(rho))
 
 

@@ -38,9 +38,9 @@ from .model import (
     FILTER_TOL,
     GRAM_DEGENERACY_REL,
     JointArrangement,
-    _checked_tol,
+    _bound,
+    _number,
     _readonly,
-    _scaled_tol,
 )
 
 
@@ -49,14 +49,20 @@ class ClarkeCoordinates:
     """The two free variables of a bending segment, in length units.
 
     Raises:
-        DomainError: if either coordinate is NaN or infinite.
+        DomainError: if either coordinate is not a number, NaN or infinite.
     """
 
     rho_re: float
     rho_im: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho_re) and math.isfinite(self.rho_im)):
+        try:
+            finite = math.isfinite(self.rho_re) and math.isfinite(self.rho_im)
+        except (TypeError, OverflowError):  # not a float: convert both, or name the one that fails
+            for name in ("rho_re", "rho_im"):
+                object.__setattr__(self, name, _number(name, getattr(self, name)))
+            finite = math.isfinite(self.rho_re) and math.isfinite(self.rho_im)
+        if not finite:
             raise DomainError(
                 f"Clarke coordinates must be finite, got ({self.rho_re}, {self.rho_im})"
             )
@@ -261,15 +267,7 @@ def validate_displacement(pair: ClarkePair, rho, tol: float | None = None) -> Di
 def _validate_displacement(pair: ClarkePair, rho: np.ndarray, tol: float | None) -> DisplacementCheck:
     """:func:`validate_displacement` on a validated length-n vector."""
     residual = _residual(pair, rho)
-    if tol is None:
-        # The default bound is at least DISPLACEMENT_REL, so the scale
-        # is computed only for a residual beyond it.
-        tol = DISPLACEMENT_REL
-        if residual > tol:
-            tol = _scaled_tol(DISPLACEMENT_REL, rho)
-    else:
-        _checked_tol(tol)
-    return DisplacementCheck(valid=residual <= tol, residual_norm=residual)
+    return DisplacementCheck(residual <= _bound(DISPLACEMENT_REL, rho, residual, tol), residual)
 
 
 def _residual(pair: ClarkePair, x: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from .model import (
     SegmentSpec,
     SegmentType,
     Violation,
+    _member,
     make_symmetric_arrangement,
 )
 from .segments import Convention, ExtendedClarkeState, JointState
@@ -92,13 +93,6 @@ def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where} must be an integer")
     return value
-
-
-def _as_enum(enum: type, value: Any, what: str):
-    try:
-        return enum(value)
-    except ValueError:
-        raise SchemaError(f"unknown {what} {value!r}") from None
 
 
 def _joint_scalars(data: dict) -> dict[str, float | None]:
@@ -163,10 +157,10 @@ def parse_robot(data: Any) -> RobotSpec:
             n < 3).
     """
     data = _as_mapping(data, "robot description")
-    coupling = _as_enum(Coupling, data.get("coupling", "independent"), "coupling")
+    coupling = _member(Coupling, data.get("coupling", "independent"), "coupling", SchemaError)
     segments = []
     for where, seg in _segments(data, "robot description"):
-        seg_type = _as_enum(SegmentType, seg.get("type", "type0"), f"{where}.type")
+        seg_type = _member(SegmentType, seg.get("type", "type0"), f"{where}.type", SchemaError)
         length = _as_number(_get(seg, "length", where), f"{where}.length")
         arrangement = _parse_arrangement(_get(seg, "joints", where), f"{where}.joints")
         segments.append(SegmentSpec(arrangement=arrangement, length=length, seg_type=seg_type))
@@ -185,7 +179,8 @@ def parse_joint_state(data: Any) -> JointState:
     "beta": <num, optional>, "alpha": <num, optional>}``.
     """
     data = _as_mapping(data, "joint state")
-    convention = _as_enum(Convention, _get(data, "convention", "joint state"), "convention")
+    convention = _get(data, "convention", "joint state")
+    convention = _member(Convention, convention, "convention", SchemaError)
     values = _as_number_list(_get(data, "values", "joint state"), "values")
     return JointState(convention=convention, values=np.array(values), **_joint_scalars(data))
 
@@ -197,7 +192,8 @@ def parse_chain_state(data: Any) -> ChainState:
     "segments": [{"values": [...]}, ...]}``.
     """
     data = _as_mapping(data, "chain state")
-    convention = _as_enum(Convention, _get(data, "convention", "chain state"), "convention")
+    convention = _get(data, "convention", "chain state")
+    convention = _member(Convention, convention, "convention", SchemaError)
     vectors = tuple(
         np.array(_as_number_list(_get(seg, "values", where), f"{where}.values"))
         for where, seg in _segments(data, "chain state")

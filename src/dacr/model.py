@@ -23,10 +23,8 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
-# Every tolerance of the library. The two residual bounds scale with
-# the vector x they judge by one rule, REL * max(1, max|x_i|)
-# (:func:`_scaled_tol`); an explicit ``tol`` argument is absolute and
-# must be >= 0 (:func:`_checked_tol`).
+# Every tolerance of the library. One function, :func:`_bound`, judges every
+# residual: against an explicit ``tol`` (absolute, >= 0) or REL * max(1, max|x_i|).
 #
 # SYMMETRY_TOL_PSI: radians by which an angle may miss the evenly
 #     spaced pattern, or another arrangement's angle, and still match.
@@ -45,20 +43,35 @@ DISPLACEMENT_REL = 1e-9
 OFF_MANIFOLD_REL = 1e-6
 
 
-def _scaled_tol(rel: float, x: np.ndarray) -> float:
-    """The one scale rule: rel * max(1, max|x_i|) for a finite 1-D x."""
-    return rel * max(1.0, float(np.abs(x).max()))
+def _number(name: str, value) -> float:
+    """float(value), or a DomainError naming the value: the one conversion of a caller's scalar."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
 
 
-def _checked_tol(tol: float) -> float:
-    """An explicit tolerance, refused with DomainError unless tol >= 0 (so NaN too)."""
+def _member(enum: type[Enum], value, name: str, error: type[Exception] = DomainError):
+    """value if it is a member of enum, else the member it names, or error."""
+    try:
+        return value if isinstance(value, enum) else enum(value)
+    except (TypeError, ValueError):
+        raise error(f"unknown {name} {value!r}") from None
+
+
+def _bound(rel: float, x: np.ndarray, residual: float, tol: float | None) -> float:
+    """A residual's bound: tol, refused unless >= 0, or lazily rel * max(1, max|x_i|) of x."""
+    if tol is None:
+        return rel if residual <= rel else rel * max(1.0, float(np.abs(x).max()))
+    tol = _number("tol", tol)
     if not (tol >= 0.0):
         raise DomainError(f"tol must be non-negative, got {tol}")
     return tol
 
 
-def _positive(name: str, value: float) -> float:
-    """value, refused with DomainError unless it is greater than zero."""
+def _positive(name: str, value) -> float:
+    """value as a float, refused with DomainError unless it is greater than zero."""
+    value = value if type(value) is float else _number(name, value)  # a float needs no call
     if not (value > 0.0):
         raise DomainError(f"{name} must be positive, got {value}")
     return value
@@ -148,18 +161,20 @@ def make_symmetric_arrangement(n: int, d: float) -> JointArrangement:
     psi_i = 2*pi*(i-1)/n and d_i = d for all i.
 
     Args:
-        n: joint count, at least 3.
+        n: joint count, a whole number at least 3 (3.0 and "3" are 3).
         d: common radial distance, strictly positive.
 
     Raises:
-        DomainError: if n < 3 or d <= 0.
+        DomainError: if n is not a whole number >= 3, d <= 0, or n cannot be allocated.
     """
-    if int(n) != n or n < 3:
+    count = _number("joint count", n)
+    if not (count.is_integer() and count >= 3):
         raise DomainError(f"symmetric arrangements need n >= 3 joints, got {n}")
-    _positive("radial distance", d)
-    n = int(n)
-    psi = TWO_PI * np.arange(n) / n
-    return JointArrangement(psi=psi, d=np.full(n, float(d)))
+    try:
+        psi = TWO_PI * np.arange(count) / count
+        return JointArrangement(psi=psi, d=np.full_like(psi, _positive("radial distance", d)))
+    except (ValueError, MemoryError):  # a count NumPy cannot index or allocate
+        raise DomainError(f"cannot allocate {n} joints") from None
 
 
 class SegmentType(str, Enum):
@@ -212,11 +227,11 @@ class SegmentSpec:
     seg_type: SegmentType = SegmentType.TYPE0
 
     def __post_init__(self) -> None:
-        length = float(self.length)
+        length = _number("segment length", self.length)
         if not math.isfinite(length):
             raise DomainError(f"segment length must be finite, got {length}")
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "seg_type", SegmentType(self.seg_type))
+        object.__setattr__(self, "seg_type", _member(SegmentType, self.seg_type, "segment type"))
 
 
 @dataclass(frozen=True)
@@ -228,7 +243,7 @@ class RobotSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "coupling", Coupling(self.coupling))
+        object.__setattr__(self, "coupling", _member(Coupling, self.coupling, "coupling"))
 
 
 @dataclass(frozen=True)
@@ -284,11 +299,10 @@ def validate_robot(spec: RobotSpec) -> list[Violation]:
       * every segment length strictly positive;
       * interdependent coupling: :func:`interdependent_violations`.
     """
-    violations: list[Violation] = []
-    if len(spec.segments) == 0:
-        violations.append(Violation(None, "segments", "robot has no segments"))
-        return violations
+    if not spec.segments:
+        return [Violation(None, "segments", "robot has no segments")]
 
+    violations: list[Violation] = []
     for j, seg in enumerate(spec.segments):
         for i, di in enumerate(seg.arrangement.d):
             if not (di > 0.0):

@@ -47,11 +47,12 @@ from .model import (
     JointArrangement,
     SegmentSpec,
     SegmentType,
-    _checked_tol,
+    _bound,
     _common_radius,
+    _member,
+    _number,
     _positive,
     _readonly,
-    _scaled_tol,
 )
 
 
@@ -76,7 +77,7 @@ class JointState:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "convention", Convention(self.convention))
+        object.__setattr__(self, "convention", _member(Convention, self.convention, "convention"))
         object.__setattr__(self, "values", _readonly(_as_vector(self.values, name="values")))
         _set_joint_scalars(self)
 
@@ -98,7 +99,7 @@ def _set_joint_scalars(state: JointState | ExtendedClarkeState) -> None:
     for name in ("beta", "alpha"):
         value = getattr(state, name)
         if value is not None:
-            value = float(value)
+            value = _number(name, value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
             object.__setattr__(state, name, value)
@@ -157,15 +158,15 @@ def _from_q(
         beta = m = float(q.sum() / q.shape[0])
         if t.has_twist_joint:
             d = common_radius(pair.arrangement) if d is None else _positive("radial distance", d)
-            a = abs(float(alpha) * float(d))
+            a = abs(_number("alpha", alpha) * d)
             if not (m > a):
                 raise DomainError(
                     f"mean joint length {m} does not exceed the twist arm |alpha*d| = {a}"
                 )
             beta = math.sqrt((m - a) * (m + a))
         beta = _positive("recovered length", beta)
-        tol = _scaled_tol(OFF_MANIFOLD_REL, q) if tol is None else _checked_tol(tol)
         residual = _residual(pair, q - m)
+        tol = _bound(OFF_MANIFOLD_REL, q, residual, tol)
         if not (residual <= tol):  # also refuses a NaN residual
             raise OffManifold(
                 f"joint lengths are not consistent with any on-manifold displacement "
@@ -246,9 +247,9 @@ def helical_offset(alpha: float, d: float, l: float) -> float:
     Raises:
         DomainError: if d <= 0 or l <= 0, or the offset is not finite.
     """
-    _positive("radial distance", d)
-    _positive("segment length", l)
-    a = float(alpha) * float(d)
+    d = _positive("radial distance", d)
+    l = _positive("segment length", l)
+    a = _number("alpha", alpha) * d
     offset = a * a / (math.hypot(a, l) + l)
     if not math.isfinite(offset):
         raise DomainError(f"helical offset is not finite (alpha = {alpha}, d = {d}, l = {l})")

@@ -1,28 +1,42 @@
 """The library boundary: every state holds private copies of its arrays,
-and input NumPy cannot turn into numbers is refused with a DacrError."""
+and input that NumPy or float() cannot turn into numbers, or that names
+no enum member, is refused with a DacrError."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dacr.chain as chain_module
 from dacr import (
+    ArcParameters,
     BackbonePolyline,
     ChainState,
+    ClarkeCoordinates,
     Convention,
     Coupling,
     DacrError,
+    DomainError,
+    ExtendedClarkeState,
     JointArrangement,
     JointState,
     RobotSpec,
     SegmentSpec,
+    SegmentType,
+    arc_to_clarke,
+    arc_to_displacements,
     build_pair,
+    clarke_to_arc,
     forward,
+    helical_offset,
     interdependent_accumulate,
     make_symmetric_arrangement,
     project,
     recover_length,
+    sample_backbone,
+    segment_forward,
     type1_forward_from_q,
     type3_forward_from_q,
     validate_displacement,
@@ -99,3 +113,85 @@ def test_only_dacr_errors_escape_for_any_vector_input(entry, value):
         VECTOR_ENTRIES[entry](value)
     except DacrError:
         pass
+
+
+ARC = ArcParameters(0.01, 0.5, 100.0)
+CC = ClarkeCoordinates(3.0, 4.0)
+RHO = [2.0, -1.0, -1.0]
+Q = [98.0, 101.0, 101.0]
+TYPE1 = SegmentSpec(SYM3, 100.0, SegmentType.TYPE1)
+
+# Every public scalar or enum parameter, as a function of its value.
+SCALAR_ENTRIES = {
+    "SegmentSpec length": lambda v: SegmentSpec(SYM3, v),
+    "SegmentSpec seg_type": lambda v: SegmentSpec(SYM3, 100.0, v),
+    "RobotSpec coupling": lambda v: RobotSpec((), v),
+    "JointState convention": lambda v: JointState(v, RHO),
+    "ChainState convention": lambda v: ChainState(v, (RHO,)),
+    "JointState beta": lambda v: JointState(Convention.Q, Q, beta=v),
+    "JointState alpha": lambda v: JointState(Convention.Q, Q, alpha=v),
+    "ExtendedClarkeState beta": lambda v: ExtendedClarkeState(CC, beta=v),
+    "ExtendedClarkeState alpha": lambda v: ExtendedClarkeState(CC, alpha=v),
+    "ClarkeCoordinates rho_re": lambda v: ClarkeCoordinates(v, 0.0),
+    "ClarkeCoordinates rho_im": lambda v: ClarkeCoordinates(0.0, v),
+    "ArcParameters kappa": lambda v: ArcParameters(v, 0.0, 100.0),
+    "ArcParameters theta": lambda v: ArcParameters(0.01, v, 100.0),
+    "ArcParameters l": lambda v: ArcParameters(0.01, 0.0, v),
+    "make_symmetric_arrangement n": lambda v: make_symmetric_arrangement(v, 10.0),
+    "make_symmetric_arrangement d": lambda v: make_symmetric_arrangement(3, v),
+    "helical_offset alpha": lambda v: helical_offset(v, 10.0, 100.0),
+    "helical_offset d": lambda v: helical_offset(0.1, v, 100.0),
+    "helical_offset l": lambda v: helical_offset(0.1, 10.0, v),
+    "clarke_to_arc d": lambda v: clarke_to_arc(CC, v, 100.0),
+    "clarke_to_arc l": lambda v: clarke_to_arc(CC, 10.0, v),
+    "arc_to_clarke d": lambda v: arc_to_clarke(ARC, v),
+    "arc_to_displacements d": lambda v: arc_to_displacements(PAIR, ARC, v),
+    "sample_backbone points": lambda v: sample_backbone(ARC, v),
+    "validate_displacement tol": lambda v: validate_displacement(PAIR, RHO, v),
+    "chain validate_displacement tol": lambda v: chain_module.validate_displacement(
+        RobotSpec((SegmentSpec(SYM3, 100.0),)), ChainState(Convention.RHO, (RHO,)), v),
+    "recover_length tol": lambda v: recover_length(PAIR, Q, v),
+    "type1_forward_from_q tol": lambda v: type1_forward_from_q(PAIR, Q, v),
+    "type3_forward_from_q tol": lambda v: type3_forward_from_q(PAIR, Q, 0.1, 10.0, tol=v),
+    "type3_forward_from_q alpha": lambda v: type3_forward_from_q(PAIR, Q, v, 10.0),
+    "type3_forward_from_q d": lambda v: type3_forward_from_q(PAIR, Q, 0.1, v),
+    "segment_forward tol": lambda v: segment_forward(TYPE1, JointState(Convention.Q, Q), v),
+    "interdependent_accumulate rows": lambda v: interdependent_accumulate(CHAIN, v),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(entry=st.sampled_from(sorted(SCALAR_ENTRIES)), value=UNCONVERTIBLE)
+def test_only_dacr_errors_escape_for_any_scalar_input(entry, value):
+    try:
+        SCALAR_ENTRIES[entry](value)
+    except DacrError:
+        pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SegmentSpec(SYM3, 100.0, "abc"),
+    lambda: ArcParameters("x", 0, 1),
+    lambda: helical_offset("a", 1, 1),
+    lambda: sample_backbone(ARC, math.inf),
+    lambda: make_symmetric_arrangement(10**400, 1),
+    lambda: make_symmetric_arrangement(1e300, 1),  # whole, but NumPy cannot index it
+    lambda: ClarkeCoordinates(None, 1),
+    lambda: JointState("x", RHO),
+    lambda: RobotSpec((), "x"),
+    lambda: interdependent_accumulate(CHAIN, None),
+])
+def test_unconvertible_scalars_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_a_scalar_is_what_float_reads():
+    assert make_symmetric_arrangement("3", "10").n == make_symmetric_arrangement(3.0, 10).n == 3
+    assert sample_backbone(ARC, "3").points.shape == (3, 3)
+    assert ClarkeCoordinates("3", 4) == CC
+    assert JointState(Convention.Q, Q, beta="2").beta == 2.0
+    assert validate_displacement(PAIR, RHO, math.inf).valid
+    for whole in (3.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="n >= 3"):
+            make_symmetric_arrangement(whole, 10.0)

@@ -93,6 +93,16 @@ class TestAccumulate:
         )
         np.testing.assert_array_equal(state.per_segment[1], [3.0, 3.0, 3.0])
 
+    def test_rows_are_read_as_chain_state_rows(self):
+        rob = interdependent()
+        # Every row is checked finite before any length: a short NaN row is a DomainError.
+        with pytest.raises(DomainError, match="^segment 1 values must be finite$"):
+            interdependent_accumulate(rob, [np.zeros(3), [np.nan, 0.0]])
+        with pytest.raises(DomainError, match="^segment 0 values must hold numbers"):
+            interdependent_accumulate(rob, ["abc", np.zeros(3)])
+        with pytest.raises(DimensionMismatch, match="^rho has length 2, expected 3$"):
+            interdependent_accumulate(rob, [np.zeros(3), np.zeros(2)])
+
 
 class TestInterdependentForward:
     def test_worked_example(self):

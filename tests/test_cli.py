@@ -721,6 +721,23 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["project", "--robot", robot, "--input", state])
         assert code == 4
 
+    def test_code_4_validate_on_single_q_state(self, capsys, write):
+        robot = write("robot.json", SYM3)
+        state = write("state.json", {"convention": "q", "values": [98.0, 101.0, 101.0]})
+        code, out, err = run(capsys, ["validate", "--robot", robot, "--input", state])
+        assert (code, out) == (4, "")
+        assert err == "error: displacement validation applies to rho states\n"
+
+    def test_code_4_accumulate_on_q_chain_state(self, capsys, write):
+        robot = write("robot.json", CHAIN2)
+        state = write("state.json", {
+            "convention": "q",
+            "segments": [{"values": [8.0, 11.0, 11.0]}, {"values": [30.0, 30.0, 30.0]}],
+        })
+        code, out, err = run(capsys, ["chain", "accumulate", "--robot", robot, "--input", state])
+        assert (code, out) == (4, "")
+        assert err == "error: accumulation starts from per-segment rho vectors\n"
+
     def test_code_4_chain_count_mismatch(self, capsys, write):
         robot = write("robot.json", CHAIN2)
         state = write("state.json", {

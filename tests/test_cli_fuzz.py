@@ -270,13 +270,12 @@ def workdir(tmp_path_factory):
 
 
 def test_cli_contract(workdir, monkeypatch):
-    # Every call of the tolerance rule: an explicit tol checked, or the
-    # default tolerance scaled to the data.
+    # Every call of the tolerance rule, which judges each residual against
+    # an explicit tol or the default bound.
     tol_calls = []
     for module in (dacr.clarke, dacr.segments):
-        for name in ("_checked_tol", "_scaled_tol"):
-            rule = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, rule=rule: tol_calls.append(1) or rule(*args))
+        rule = module._bound
+        monkeypatch.setattr(module, "_bound", lambda *args, rule=rule: tol_calls.append(1) or rule(*args))
     reached = []
 
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dacr.chain as chain_module
 from dacr import (
@@ -26,7 +28,7 @@ from dacr import (
     validate_displacement,
     validate_robot,
 )
-from dacr.model import TWO_PI, arrangements_match
+from dacr.model import DISPLACEMENT_REL, OFF_MANIFOLD_REL, TWO_PI, _bound, arrangements_match
 
 
 def seg(arrangement, length=100.0, seg_type=SegmentType.TYPE0):
@@ -230,3 +232,65 @@ class TestExplicitTolerance:
         assert segment_forward(seg(ARR3), state, -1.0) == segment_forward(seg(ARR3), state)
         rho = JointState(Convention.RHO, RHO)
         assert segment_forward(seg(ARR3), rho, math.nan) == segment_forward(seg(ARR3), rho)
+
+
+# The two residual bounds as they were written before one function owned
+# them, kept as the reference _bound must agree with.
+def _reference_scaled_tol(rel, x):
+    return rel * max(1.0, float(np.abs(x).max()))
+
+
+def _reference_checked_tol(tol):
+    if not (tol >= 0.0):
+        raise DomainError(f"tol must be non-negative, got {tol}")
+    return tol
+
+
+def _reference_displacement_valid(x, residual, tol):
+    """The lazy form: the scale only for a residual past DISPLACEMENT_REL."""
+    if tol is None:
+        tol = DISPLACEMENT_REL
+        if residual > tol:
+            tol = _reference_scaled_tol(DISPLACEMENT_REL, x)
+    else:
+        _reference_checked_tol(tol)
+    return residual <= tol
+
+
+def _reference_off_manifold_bound(x, tol):
+    """The eager form of the q-side length recovery."""
+    return _reference_scaled_tol(OFF_MANIFOLD_REL, x) if tol is None else _reference_checked_tol(tol)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return str(exc)
+
+
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e-9, 1e-6, math.nan, math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    residual=MAGNITUDES,
+    tol=st.one_of(st.none(), MAGNITUDES, st.sampled_from([-1.0, -1e-300, -math.inf])),
+)
+def test_bound_judges_as_both_former_rules(x, residual, tol):
+    x = np.array(x)
+    assert _outcome(lambda: residual <= _bound(DISPLACEMENT_REL, x, residual, tol)) == _outcome(
+        lambda: _reference_displacement_valid(x, residual, tol))
+    bound = _outcome(lambda: _bound(OFF_MANIFOLD_REL, x, residual, tol))
+    reference = _outcome(lambda: _reference_off_manifold_bound(x, tol))
+    if isinstance(reference, str):
+        assert bound == reference
+    else:
+        assert (residual <= bound) == (residual <= reference)
+        if not residual <= reference:  # refused: the OffManifold message quotes the bound
+            assert f"{bound:.3e}" == f"{reference:.3e}"
