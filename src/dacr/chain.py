@@ -221,8 +221,8 @@ def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:
     """
     pair = _shared_pair(robot)
     rho = _frozen_rows(rho_per_seg)
-    for r in rho:
-        _check_length(r, pair.n, "rho")
+    for j, r in enumerate(rho):
+        _check_length(r, pair.n, f"segment {j} rho")
     return _accumulate(robot, np.array(rho))
 
 

@@ -71,7 +71,7 @@ def _bound(rel: float, x: np.ndarray, residual: float, tol: float | None) -> flo
 
 def _positive(name: str, value) -> float:
     """value as a float, refused with DomainError unless it is greater than zero."""
-    value = value if type(value) is float else _number(name, value)  # a float needs no call
+    value = _number(name, value)
     if not (value > 0.0):
         raise DomainError(f"{name} must be positive, got {value}")
     return value
@@ -170,9 +170,10 @@ def make_symmetric_arrangement(n: int, d: float) -> JointArrangement:
     count = _number("joint count", n)
     if not (count.is_integer() and count >= 3):
         raise DomainError(f"symmetric arrangements need n >= 3 joints, got {n}")
+    d = _positive("radial distance", d)
     try:
         psi = TWO_PI * np.arange(count) / count
-        return JointArrangement(psi=psi, d=np.full_like(psi, _positive("radial distance", d)))
+        return JointArrangement(psi=psi, d=np.full_like(psi, d))
     except (ValueError, MemoryError):  # a count NumPy cannot index or allocate
         raise DomainError(f"cannot allocate {n} joints") from None
 
@@ -299,10 +300,11 @@ def validate_robot(spec: RobotSpec) -> list[Violation]:
       * every segment length strictly positive;
       * interdependent coupling: :func:`interdependent_violations`.
     """
-    if not spec.segments:
-        return [Violation(None, "segments", "robot has no segments")]
-
     violations: list[Violation] = []
+    if len(spec.segments) == 0:
+        violations.append(Violation(None, "segments", "robot has no segments"))
+        return violations
+
     for j, seg in enumerate(spec.segments):
         for i, di in enumerate(seg.arrangement.d):
             if not (di > 0.0):

@@ -100,7 +100,7 @@ class TestAccumulate:
             interdependent_accumulate(rob, [np.zeros(3), [np.nan, 0.0]])
         with pytest.raises(DomainError, match="^segment 0 values must hold numbers"):
             interdependent_accumulate(rob, ["abc", np.zeros(3)])
-        with pytest.raises(DimensionMismatch, match="^rho has length 2, expected 3$"):
+        with pytest.raises(DimensionMismatch, match="^segment 1 rho has length 2, expected 3$"):
             interdependent_accumulate(rob, [np.zeros(3), np.zeros(2)])
 
 

@@ -86,6 +86,13 @@ class TestSymmetricArrangement:
         with pytest.raises(DomainError):
             make_symmetric_arrangement(n, d)
 
+    def test_radial_distance_is_checked_before_allocation(self):
+        # A count NumPy cannot allocate does not hide a bad radial distance.
+        with pytest.raises(DomainError, match="^radial distance must be positive, got -1.0$"):
+            make_symmetric_arrangement(1e300, -1.0)
+        with pytest.raises(DomainError, match=r"^cannot allocate 1e\+300 joints$"):
+            make_symmetric_arrangement(1e300, 1.0)
+
     @pytest.mark.parametrize("n", range(3, 65))
     def test_is_symmetric_for_all_supported_counts(self, n):
         assert make_symmetric_arrangement(n, 2.5).is_symmetric()
