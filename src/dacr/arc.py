@@ -24,7 +24,7 @@ import numpy as np
 
 from .clarke import ClarkeCoordinates, ClarkePair, inverse
 from .errors import DomainError
-from .model import _normalize_angles, _number, _positive, _readonly
+from .model import _checked, _normalize_angles, _number, _positive, _readonly
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,17 @@ def clarke_to_arc(cc: ClarkeCoordinates, d: float, l: float) -> ArcParameters:
     d = _positive("radial distance", d)
     l = _positive("segment length", l)
     norm = math.hypot(cc.rho_re, cc.rho_im)
-    if norm == 0.0:
-        return ArcParameters(kappa=0.0, theta=0.0, l=l)
-    if d * l == 0.0:
-        raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
-    if d * l == math.inf:
-        raise DomainError(f"d * l overflows (d = {d}, l = {l})")
-    kappa = norm / (d * l)
-    # ArcParameters reduces theta into [0, 2*pi).
-    theta = math.atan2(cc.rho_im, cc.rho_re) if kappa else 0.0
-    return ArcParameters(kappa=kappa, theta=theta, l=l)
+    kappa = theta = 0.0
+    if norm != 0.0:
+        if d * l == 0.0:
+            raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
+        if d * l == math.inf:
+            raise DomainError(f"d * l overflows (d = {d}, l = {l})")
+        kappa = norm / (d * l)
+        theta = math.atan2(cc.rho_im, cc.rho_re) if kappa else 0.0
+    if not math.isfinite(l * kappa):  # phi is all that is left; the constructor names a fault
+        return ArcParameters(kappa=kappa, theta=theta, l=l)
+    return _checked(ArcParameters, kappa=kappa, theta=_normalize_angles(theta), l=l)
 
 
 def arc_to_displacements(pair: ClarkePair, arc: ArcParameters, d: float) -> np.ndarray:

@@ -15,6 +15,7 @@ transform, so the Clarke coordinates never depend on them.
 
 Interdependent composition is defined for bending-only segments with one
 shared arrangement: the rule is :func:`dacr.model.interdependent_violations`.
+A chain state computed here is checked finite and frozen once, in place.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     DomainError,
     FilterPropertyUnavailable,
 )
-from .model import Coupling, RobotSpec, _member, _readonly, interdependent_violations
+from .model import Coupling, RobotSpec, _checked, _member, _readonly, interdependent_violations
 from .segments import Convention
 
 
@@ -102,10 +103,10 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
     """The single Clarke pair shared by an interdependent chain, checked
     on the first call and returned as the same object on every later one.
 
-    The pair is memoised on the robot, which is frozen down to its
-    read-only arrangement arrays, so the memo can never go stale; a
-    ``dataclasses.replace`` copy is checked anew. A failed check stores
-    nothing.
+    The pair is memoised on the robot, with the read-only (m,) lengths
+    array of :func:`_accumulate`. The robot is frozen down to its read-only
+    arrays, so the memo can never go stale; a ``dataclasses.replace`` copy
+    is checked anew. A failed check stores nothing.
 
     Raises:
         ConventionMismatch: robot is not interdependent, or has segments
@@ -134,6 +135,7 @@ def _shared_pair(robot: RobotSpec) -> ClarkePair:
             "interdependent composition requires an arrangement that filters "
             "constant offsets"
         )
+    object.__setattr__(robot, "_lengths", _readonly([seg.length for seg in robot.segments]))
     object.__setattr__(robot, "_shared_pair", pair)
     return pair
 
@@ -161,8 +163,8 @@ def chain_inverse(robot: RobotSpec, cc: ChainClarke) -> ChainState:
     if robot.coupling is Coupling.INTERDEPENDENT:
         return interdependent_inverse(robot, cc)
     _check_segment_count(robot, len(cc.per_segment))
-    rho = [inverse(build_pair(seg.arrangement), c) for seg, c in zip(robot.segments, cc.per_segment)]
-    return ChainState(convention=Convention.RHO, per_segment=tuple(rho))
+    rho = (inverse(build_pair(seg.arrangement), c) for seg, c in zip(robot.segments, cc.per_segment))
+    return _checked(ChainState, convention=Convention.RHO, per_segment=tuple(_readonly(r, True) for r in rho))
 
 
 def validate_displacement(
@@ -232,13 +234,14 @@ def _accumulate(robot: RobotSpec, rho: np.ndarray) -> ChainState:
     One running sum down the stack: row j is l^j - rho^j + q^(j-1),
     added in the order of the recurrence, so the result is that of the
     recurrence bit for bit. Adding +0.0 turns a -0.0 into +0.0, as the
-    recurrence's start from zeros does. A sum that overflows is refused
-    by the ChainState that holds it.
+    recurrence's start from zeros does. The new stack is checked finite once
+    and frozen in place; a sum that overflows is refused as a caller's rows are.
     """
     _check_segment_count(robot, len(rho))
-    lengths = np.array([seg.length for seg in robot.segments])
-    q = np.add.accumulate(lengths[:, None] - rho, axis=0) + 0.0
-    return ChainState(convention=Convention.Q, per_segment=tuple(q))
+    q = np.add.accumulate(robot._lengths[:, None] - rho, axis=0) + 0.0
+    if np.count_nonzero(np.isfinite(q)) != q.size:
+        return ChainState(convention=Convention.Q, per_segment=tuple(q))
+    return _checked(ChainState, convention=Convention.Q, per_segment=tuple(_readonly(q, own=True)))
 
 
 def interdependent_forward(robot: RobotSpec, state: ChainState) -> ChainClarke:

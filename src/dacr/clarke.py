@@ -18,11 +18,11 @@ Validation happens once, at the library boundary. Public functions
 check what they are given (shape, length, finiteness) and raise a
 :class:`~dacr.errors.DacrError`; ``_``-prefixed kernels trust their
 input and only compute. The state dataclasses (``ClarkeCoordinates``,
-``segments.JointState``, ``chain.ChainState``) check their values when
-they are built and hold them as finite floats or private read-only 1-D
-copies, so no later write by the caller reaches them, and a function
-that receives one checks only what the state cannot know, such as the
-joint count of the segment.
+``segments.JointState``, ``chain.ChainState``) check a caller's values
+and hold them as finite floats or private read-only 1-D copies, so no
+later write by the caller reaches them; a stack the library has just
+computed is checked and frozen once, in place. A function given a state
+checks only what it cannot know, such as the segment's joint count.
 """
 
 from __future__ import annotations
@@ -180,10 +180,13 @@ def build_pair(arr: JointArrangement) -> ClarkePair:
 
     Raises:
         DegenerateArrangement: joints collinear through the axis.
+        DomainError: arr is not a JointArrangement.
     """
     pair = getattr(arr, "_pair", None)
     if pair is not None:
         return pair
+    if not isinstance(arr, JointArrangement):
+        raise DomainError(f"build_pair needs a JointArrangement, got {arr!r}")
     mp_inv = build_mp_inv(arr)
     if arr.n > 2 and arr.is_symmetric():
         mp = (2.0 / arr.n) * mp_inv.T

@@ -101,11 +101,19 @@ def _common_radius(d: np.ndarray) -> float | None:
     return None
 
 
-def _readonly(a) -> np.ndarray:
-    """A private, C-ordered, read-only float copy: the one way a state holds an array."""
-    a = np.array(a, dtype=float, order="C")
+def _readonly(a, own: bool = False) -> np.ndarray:
+    """A private, C-ordered, read-only float copy: the one way a state holds an array.
+    own freezes in place a float array the library has just made and nothing else holds."""
+    a = a if own else np.array(a, dtype=float, order="C")
     a.setflags(write=False)  # half the cost of assigning a.flags.writeable
     return a
+
+
+def _checked(cls, **fields):
+    """A cls holding fields as they are, without __post_init__: for values already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,8 @@ def make_symmetric_arrangement(n: int, d: float) -> JointArrangement:
     if not (count.is_integer() and count >= 3):
         raise DomainError(f"symmetric arrangements need n >= 3 joints, got {n}")
     d = _positive("radial distance", d)
+    if count >= 2.0**63:  # np.arange(2**63) is empty; larger counts raise below
+        raise DomainError(f"cannot allocate {n} joints")
     try:
         psi = TWO_PI * np.arange(count) / count
         return JointArrangement(psi=psi, d=np.full_like(psi, d))
@@ -192,13 +202,9 @@ class SegmentType(str, Enum):
     TYPE2 = "type2"
     TYPE3 = "type3"
 
-    @property
-    def has_length_joint(self) -> bool:
-        return self in (SegmentType.TYPE1, SegmentType.TYPE3)
-
-    @property
-    def has_twist_joint(self) -> bool:
-        return self in (SegmentType.TYPE2, SegmentType.TYPE3)
+    def __init__(self, value: str) -> None:  # plain attributes: no lookup per access
+        self.has_length_joint = value in ("type1", "type3")
+        self.has_twist_joint = value in ("type2", "type3")
 
 
 class Coupling(str, Enum):
@@ -228,6 +234,8 @@ class SegmentSpec:
     seg_type: SegmentType = SegmentType.TYPE0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.arrangement, JointArrangement):
+            raise DomainError(f"segment arrangement must be a JointArrangement, got {self.arrangement!r}")
         length = _number("segment length", self.length)
         if not math.isfinite(length):
             raise DomainError(f"segment length must be finite, got {length}")
@@ -243,7 +251,14 @@ class RobotSpec:
     coupling: Coupling = Coupling.INDEPENDENT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        try:
+            segments = tuple(self.segments)
+        except TypeError:
+            raise DomainError(f"robot segments must be a sequence, got {self.segments!r}") from None
+        for j, seg in enumerate(segments):
+            if not isinstance(seg, SegmentSpec):
+                raise DomainError(f"robot segment {j} must be a SegmentSpec, got {seg!r}")
+        object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "coupling", _member(Coupling, self.coupling, "coupling"))
 
 

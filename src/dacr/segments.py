@@ -131,8 +131,8 @@ def _from_q(
     beta: float | None = None,
     alpha: float | None = None,
     d: float | None = None,
-) -> ExtendedClarkeState:
-    """cc = -mp @ q for a segment of type t: the one q-side forward map.
+) -> tuple[np.ndarray, float | None]:
+    """The checked q and beta of a type-t segment; :func:`_extended` adds cc = -mp @ q.
 
     Its checks run in one order: the vector (shape, length, finiteness),
     the filter property, the common radius, the value domain, the
@@ -172,7 +172,11 @@ def _from_q(
                 f"joint lengths are not consistent with any on-manifold displacement "
                 f"(residual {residual:.3e} > tol {tol:.3e})"
             )
-    # The sign flips because q = l*ones - rho; the constant l is filtered.
+    return q, beta
+
+
+def _extended(pair: ClarkePair, q, beta, alpha=None) -> ExtendedClarkeState:
+    """The state of q and beta from :func:`_from_q`; cc = -mp @ q as q = l*ones - rho."""
     return ExtendedClarkeState(ClarkeCoordinates(*(-(pair.mp @ q)).tolist()), beta, alpha)
 
 
@@ -199,13 +203,17 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
 
     Raises:
         DimensionMismatch: wrong q length.
-        DomainError: q has a non-finite entry, mean(q) is not positive, or
-            tol is negative or NaN.
+        DomainError: q has a non-finite entry, mean(q) is not positive,
+            tol is negative or NaN, or the Clarke coordinates overflow.
         FilterPropertyUnavailable: if pair.filter_ok is false.
         OffManifold: if, after removing the recovered constant, q is not
             a valid displacement vector within tol.
     """
-    return _from_q(pair, SegmentType.TYPE1, q, tol).beta
+    q, beta = _from_q(pair, SegmentType.TYPE1, q, tol)
+    cc = (pair.mp @ q).tolist()  # not kept; an overflow is refused as type1_forward_from_q does
+    if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
+        ClarkeCoordinates(-cc[0], -cc[1])
+    return beta
 
 
 def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> ExtendedClarkeState:
@@ -217,7 +225,7 @@ def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> Exten
     Raises:
         As :func:`recover_length`.
     """
-    return _from_q(pair, SegmentType.TYPE1, q, tol)
+    return _extended(pair, *_from_q(pair, SegmentType.TYPE1, q, tol))
 
 
 def type1_inverse_to_q(pair: ClarkePair, state: ExtendedClarkeState) -> np.ndarray:
@@ -290,7 +298,7 @@ def type3_forward_from_q(
         DomainError: non-finite q, non-positive d, or mean(q) <=
             |alpha*d| (no positive length explains the joint lengths).
     """
-    return _from_q(pair, SegmentType.TYPE3, q, tol, alpha=alpha, d=d)
+    return _extended(pair, *_from_q(pair, SegmentType.TYPE3, q, tol, alpha=alpha, d=d), alpha)
 
 
 def _check_joints(t: SegmentType, beta: float | None, alpha: float | None) -> None:
@@ -338,7 +346,7 @@ def segment_forward(
         )
     if t is SegmentType.TYPE1 and state.beta is not None:
         raise ConventionMismatch("q already encodes the length; drop beta or use rho")
-    return _from_q(pair, t, state, tol, state.beta, state.alpha)
+    return _extended(pair, *_from_q(pair, t, state, tol, state.beta, state.alpha), state.alpha)
 
 
 def segment_inverse(seg: SegmentSpec, state: ExtendedClarkeState) -> JointState:

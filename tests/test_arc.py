@@ -349,3 +349,48 @@ class TestClarkeToArcKernel:
         arc = clarke_to_arc(ClarkeCoordinates(re, im), d=10.0, l=100.0)
         want = _normalize_angles(math.atan2(im, re)) if arc.kappa else 0.0
         assert np.float64(arc.theta).tobytes() == np.float64(want).tobytes()
+
+    @staticmethod
+    def reference(cc, d, l):
+        """clarke_to_arc as it was written before it built the arc in one pass:
+        every value through the public ArcParameters constructor."""
+        norm = math.hypot(cc.rho_re, cc.rho_im)
+        if norm == 0.0:
+            return ArcParameters(kappa=0.0, theta=0.0, l=l)
+        if d * l == 0.0:
+            raise DomainError(f"d * l underflows to zero (d = {d}, l = {l})")
+        if d * l == math.inf:
+            raise DomainError(f"d * l overflows (d = {d}, l = {l})")
+        kappa = norm / (d * l)
+        return ArcParameters(kappa, math.atan2(cc.rho_im, cc.rho_re) if kappa else 0.0, l)
+
+    @staticmethod
+    def outcome(call):
+        """An arc's (kappa, theta, l, phi) bits, or the class and message of its refusal."""
+        try:
+            arc = call()
+        except DomainError as exc:
+            return type(exc), str(exc)
+        return np.array([arc.kappa, arc.theta, arc.l, arc.phi]).tobytes()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        cc=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(
+            allow_nan=False, allow_infinity=False, allow_subnormal=True))] * 2),
+        d=st.one_of(st.floats(-320.0, 308.2).map(lambda e: 10.0**e), st.sampled_from([math.inf])),
+        l=st.one_of(st.floats(-320.0, 308.2).map(lambda e: 10.0**e), st.sampled_from([math.inf])),
+    )
+    def test_same_bits_and_refusals_as_the_constructor(self, cc, d, l):
+        cc = ClarkeCoordinates(*cc)
+        assert self.outcome(lambda: clarke_to_arc(cc, d, l)) == self.outcome(
+            lambda: self.reference(cc, d, l))
+
+    @pytest.mark.parametrize("cc, d, l, name", [
+        ((1e300, 1e300), 1e-10, 1.0, "kappa"),
+        ((1e300, 1e300), 1e-300, 1e300, "phi"),
+        ((0.0, 0.0), 1.0, math.inf, "l"),
+    ])
+    def test_non_finite_arc_names_the_parameter(self, cc, d, l, name):
+        with pytest.raises(DomainError) as info:
+            clarke_to_arc(ClarkeCoordinates(*cc), d, l)
+        assert str(info.value) == f"arc parameter {name} is non-finite: inf"

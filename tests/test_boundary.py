@@ -40,6 +40,7 @@ from dacr import (
     type1_forward_from_q,
     type3_forward_from_q,
     validate_displacement,
+    validate_robot,
 )
 
 FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
@@ -195,3 +196,36 @@ def test_a_scalar_is_what_float_reads():
     for whole in (3.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="n >= 3"):
             make_symmetric_arrangement(whole, 10.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RobotSpec(None), "robot segments must be a sequence, got None"),
+    (lambda: RobotSpec(("x",)), "robot segment 0 must be a SegmentSpec, got 'x'"),
+    (lambda: RobotSpec((SegmentSpec(SYM3, 1.0), 2.0)), "robot segment 1 must be a SegmentSpec, got 2.0"),
+    (lambda: SegmentSpec("x", 1.0), "segment arrangement must be a JointArrangement, got 'x'"),
+    (lambda: build_pair("x"), "build_pair needs a JointArrangement, got 'x'"),
+    (lambda: make_symmetric_arrangement(2**63 - 1, 1.0), "cannot allocate 9223372036854775807 joints"),
+    (lambda: make_symmetric_arrangement(2**60, 1.0), f"cannot allocate {2**60} joints"),
+])
+def test_objects_of_the_wrong_kind_are_domain_errors_naming_them(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Every public parameter that takes a library object, as a function of its value.
+OBJECT_ENTRIES = {
+    "RobotSpec segments": lambda v: validate_robot(RobotSpec(v)),
+    "RobotSpec segment": lambda v: validate_robot(RobotSpec((v,))),
+    "SegmentSpec arrangement": lambda v: validate_robot(RobotSpec((SegmentSpec(v, 1.0),))),
+    "build_pair": build_pair,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entry=st.sampled_from(sorted(OBJECT_ENTRIES)), value=UNCONVERTIBLE)
+def test_only_dacr_errors_escape_for_any_object_input(entry, value):
+    try:
+        OBJECT_ENTRIES[entry](value)
+    except DacrError:
+        pass

@@ -234,6 +234,16 @@ class TestInterdependentInverse:
         with pytest.raises(DomainError, match="finite"), np.errstate(all="ignore"):
             interdependent_inverse(interdependent(m, lengths), cc)
 
+    @pytest.mark.parametrize("call", [
+        lambda rob: interdependent_inverse(rob, ChainClarke((ClarkeCoordinates(1e308, 0.0),) * 2)),
+        lambda rob: interdependent_accumulate(rob, [[1e308, -5e307, -5e307]] * 2),
+    ], ids=["inverse", "accumulate"])
+    def test_overflowing_sum_is_refused_as_caller_rows_are(self, call):
+        # Each reconstruction is finite; only the running sum of segment 1 overflows.
+        with pytest.raises(DomainError, match="^segment 1 values must be finite$"), \
+                np.errstate(all="ignore"):
+            call(interdependent(2, (10.0, 20.0)))
+
     def test_roundtrip_with_forward(self):
         rng = np.random.default_rng(29)
         for m in (1, 2, 5):
@@ -406,6 +416,38 @@ class TestChainMemo:
         assert chain_module._shared_pair(copy) is pair
         assert len(chain_checks) == 4
 
+    def test_lengths_are_one_read_only_array(self):
+        rob = interdependent(m=3, lengths=(1.0, 2.0, 3.0))
+        cc = ChainClarke(tuple(ClarkeCoordinates(1.0, 0.5) for _ in range(3)))
+        interdependent_inverse(rob, cc)
+        lengths = vars(rob)["_lengths"]
+        for _ in range(3):
+            interdependent_inverse(rob, cc)
+            interdependent_accumulate(rob, [np.zeros(3)] * 3)
+            assert vars(rob)["_lengths"] is lengths
+        assert as_bits([lengths]) == as_bits([[1.0, 2.0, 3.0]])
+        assert lengths.dtype == np.float64 and not lengths.flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        robot([ARR3, ARR4], (1.0, 2.0), Coupling.INTERDEPENDENT),
+        RobotSpec((SegmentSpec(ARR3, 1.0, SegmentType.TYPE1),), Coupling.INTERDEPENDENT),
+        robot([ARR3, ARR3], (1.0, 2.0), Coupling.INDEPENDENT),
+    ], ids=["mismatched", "type1", "independent"])
+    def test_failed_check_stores_no_lengths(self, bad):
+        for _ in range(2):
+            with pytest.raises((ArrangementMismatch, ConventionMismatch)):
+                interdependent_accumulate(bad, [np.zeros(3)] * len(bad.segments))
+        assert "_lengths" not in vars(bad)
+
+    def test_replace_builds_lengths_anew(self):
+        rob = interdependent(m=2, lengths=(1.0, 2.0))
+        interdependent_accumulate(rob, [np.zeros(3)] * 2)
+        copy = dataclasses.replace(rob, segments=rob.segments[::-1])
+        assert "_lengths" not in vars(copy)
+        state = interdependent_accumulate(copy, [np.zeros(3)] * 2)
+        assert as_bits(state.per_segment) == as_bits([[2.0] * 3, [3.0] * 3])
+        assert vars(copy)["_lengths"] is not vars(rob)["_lengths"]
+
     def test_memo_equals_fresh_check(self):
         rob = interdependent(m=2)
         memo = chain_module._shared_pair(rob)
@@ -478,8 +520,9 @@ class TestEmptyInterdependentRobot:
 
 
 class TestChainSingleValidation:
-    """Each ChainState is checked once, when it is built, in one pass over
-    its rows; valid rows are never checked one by one."""
+    """Each ChainState a caller builds is checked once, in one pass over its
+    rows; valid rows are never checked one by one. A state of rows the
+    library has just computed and checked is not checked again."""
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_interdependent_forward(self, validations, m):
@@ -493,7 +536,12 @@ class TestChainSingleValidation:
         rob = interdependent(m=m, lengths=(1.0, 2.0, 3.0))
         cc = ChainClarke(tuple(ClarkeCoordinates(1.0, -0.5) for _ in range(m)))
         interdependent_inverse(rob, cc)
-        assert validations == ["chain rows"]
+        assert validations == []
+
+    def test_independent_chain_inverse(self, validations):
+        rob = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
+        chain_inverse(rob, ChainClarke((ClarkeCoordinates(1.0, -0.5), ClarkeCoordinates(0.0, 2.0))))
+        assert validations == []
 
     def test_independent_forward(self, validations):
         rob = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
@@ -675,6 +723,32 @@ class TestChainKernelsMatchReference:
         rho = np.array([inverse(pair, c) for c in coords])
         want = (np.array(lengths)[:, None] - rho).cumsum(axis=0) + 0.0
         assert as_bits(got.per_segment) == as_bits(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ns=st.lists(st.integers(3, 8), min_size=1, max_size=5), data=st.data())
+    def test_computed_rows_are_frozen_reference_bits(self, ns, data):
+        """The states the library computes hold read-only float64 rows with
+        the reference loops' bits: chain_inverse on an independent chain,
+        and interdependent_inverse and interdependent_accumulate on a chain
+        of the first joint count."""
+        arrs = [make_symmetric_arrangement(n, 10.0) for n in ns]
+        lengths = data.draw(st.lists(st.floats(0.5, 200.0), min_size=len(ns), max_size=len(ns)))
+        coords = tuple(ClarkeCoordinates(*data.draw(st.tuples(FINITE, FINITE))) for _ in ns)
+        rho = [data.draw(st.lists(FINITE, min_size=ns[0], max_size=ns[0])) for _ in ns]
+        independent = robot(arrs, lengths, Coupling.INDEPENDENT)
+        coupled = robot([arrs[0]] * len(ns), lengths, Coupling.INTERDEPENDENT)
+        pair = build_pair(arrs[0])
+        states = [
+            (chain_inverse(independent, ChainClarke(coords)),
+             [inverse(build_pair(a), c) for a, c in zip(arrs, coords)]),
+            (interdependent_inverse(coupled, ChainClarke(coords)),
+             self.reference_accumulate([inverse(pair, c) for c in coords], lengths)),
+            (interdependent_accumulate(coupled, rho), self.reference_accumulate(rho, lengths)),
+        ]
+        for state, want in states:
+            assert as_bits(state.per_segment) == as_bits(want)
+            assert all(r.dtype == np.float64 and r.ndim == 1 for r in state.per_segment)
+            assert not any(r.flags.writeable for r in state.per_segment)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(ns=st.lists(st.integers(3, 8), min_size=1, max_size=5), data=st.data())

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,6 +470,18 @@ class TestChainCommands:
         fwd = run_json(capsys, ["chain", "forward", "--robot", robot, "--input", state])
         assert fwd["segments"][0]["cc"][0] == pytest.approx(2.0, abs=1e-9)
         assert fwd["segments"][1]["cc"][0] == pytest.approx(-2.0, abs=1e-9)
+
+    def test_inverse_reproduces_its_golden_file(self):
+        # The chain-forward golden output, mapped back: byte for byte.
+        golden = Path(__file__).parent / "golden"
+        run = subprocess.run(
+            [sys.executable, "-m", "dacr", "chain", "inverse",
+             "--robot", str(golden / "chain_robot.json"),
+             "--input", str(golden / "chain_forward.expected.json")],
+            capture_output=True,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == (golden / "chain_inverse.expected.json").read_bytes()
 
     def test_accumulate(self, capsys, write):
         robot = write("robot.json", CHAIN2)

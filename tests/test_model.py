@@ -189,11 +189,13 @@ class TestValidateRobot:
 
 class TestEnums:
     def test_segment_type_joint_flags(self):
-        assert not SegmentType.TYPE0.has_length_joint
-        assert SegmentType.TYPE1.has_length_joint
-        assert not SegmentType.TYPE1.has_twist_joint
-        assert SegmentType.TYPE2.has_twist_joint
-        assert SegmentType.TYPE3.has_length_joint and SegmentType.TYPE3.has_twist_joint
+        # Every member, each flag a plain attribute of the member.
+        flags = {SegmentType.TYPE0: (False, False), SegmentType.TYPE1: (True, False),
+                 SegmentType.TYPE2: (False, True), SegmentType.TYPE3: (True, True)}
+        assert list(flags) == list(SegmentType)
+        for t, (length, twist) in flags.items():
+            assert (t.has_length_joint, t.has_twist_joint) == (length, twist)
+            assert (vars(t)["has_length_joint"], vars(t)["has_twist_joint"]) == (length, twist)
 
     def test_specs_coerce_string_enum_values(self):
         s = SegmentSpec(make_symmetric_arrangement(3, 1.0), length=5, seg_type="type2")

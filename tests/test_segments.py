@@ -12,6 +12,7 @@ from dacr import (
     ClarkeCoordinates,
     Convention,
     ConventionMismatch,
+    DacrError,
     DegenerateArrangement,
     DimensionMismatch,
     DomainError,
@@ -156,6 +157,50 @@ class TestRecoverLength:
         q = l - inverse(pair, ClarkeCoordinates(re, im))
         formula = float(np.ones(n) @ (q + pair.projector @ q)) / n
         assert abs(recover_length(pair, q) - formula) <= 1e-9 * max(1.0, float(np.abs(q).max()))
+
+    @staticmethod
+    def outcome(call):
+        """A result's bits, or the class and message of its refusal."""
+        try:
+            with np.errstate(all="ignore"):
+                return np.float64(call()).tobytes()
+        except DacrError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        pair=st.sampled_from([PAIR3, PAIR4, build_pair(make_symmetric_arrangement(7, 2.0)), ASYM]),
+        # Half the scales near the largest float, where cc = -mp @ q can overflow.
+        scale=st.one_of(st.floats(-3.0, 308.2), st.floats(307.8, 308.25)).map(lambda e: 10.0**e),
+        tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-3, -1.0, math.nan])),
+        data=st.data(),
+    )
+    def test_same_bits_and_refusals_as_type1_forward(self, pair, scale, tol, data):
+        """recover_length builds no Clarke state, yet returns the beta of
+        type1_forward_from_q bit for bit and refuses what it refuses, with
+        the same class and message: off-manifold, overflowing and
+        mis-sized q included."""
+        n = pair.n + data.draw(st.sampled_from([0, 0, 0, -1]))
+        unit = st.floats(-1.0, 1.0)
+        kind = data.draw(st.sampled_from(["wide", "scaled", "manifold"]))
+        if kind == "wide":
+            q = data.draw(st.lists(WIDE, min_size=n, max_size=n))
+        elif kind == "scaled":  # at the largest scales, cc can overflow where q does not
+            q = [scale * x for x in data.draw(st.lists(unit, min_size=n, max_size=n))]
+        else:  # near the manifold, at any scale up to the largest float
+            cc = ClarkeCoordinates(*(scale * x for x in data.draw(st.tuples(unit, unit))))
+            with np.errstate(all="ignore"):
+                q = list(scale * data.draw(unit) - pair.mp_inv @ cc.as_array())[:n]
+        assert self.outcome(lambda: recover_length(pair, q, tol)) == self.outcome(
+            lambda: type1_forward_from_q(pair, q, tol).beta)
+
+    def test_overflowing_coordinates_are_refused(self):
+        # Length recovery alone would accept this q; its cc overflows.
+        q = [1e300, 1e300 - 1.6e308, 1e300 + 1.6e308]
+        for call in (lambda: recover_length(PAIR3, q), lambda: type1_forward_from_q(PAIR3, q)):
+            with np.errstate(all="ignore"), pytest.raises(
+                    DomainError, match=r"^Clarke coordinates must be finite, got \("):
+                call()
 
 
 class TestTypeOne:
