@@ -222,10 +222,16 @@ def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:
         DimensionMismatch: see :func:`_shared_pair`.
     """
     pair = _shared_pair(robot)
-    rho = _frozen_rows(rho_per_seg)
-    for j, r in enumerate(rho):
-        _check_length(r, pair.n, f"segment {j} rho")
-    return _accumulate(robot, np.array(rho))
+    try:
+        rho = np.asarray(rho_per_seg, dtype=float)  # the one conversion of clean rows
+    except (TypeError, ValueError):
+        rho = None
+    if rho is None or rho.ndim != 2 or rho.shape[1] != pair.n or not np.isfinite(rho).all():
+        rows = _frozen_rows(rho_per_seg)  # names the first faulty row
+        for j, r in enumerate(rows):
+            _check_length(r, pair.n, f"segment {j} rho")
+        rho = np.array(rows)
+    return _accumulate(robot, rho)
 
 
 def _accumulate(robot: RobotSpec, rho: np.ndarray) -> ChainState:

@@ -3,10 +3,10 @@
 Every number is emitted as its ``repr``, the shortest decimal string
 that round-trips to the same IEEE-754 double: lossless and stable
 across platforms, so emitted files can be compared byte-for-byte. JSON
-text is exactly what ``json.dumps(obj, indent=2)`` writes; arrays are
-formatted whole rather than one NumPy scalar at a time. NaN and
-infinity have no JSON form and are refused with
-:class:`~dacr.errors.DomainError`.
+text is exactly what ``json.dumps(obj, indent=2)`` writes; float arrays
+are formatted in row blocks by orjson, in native code, and re-spelled
+where its form differs from ``repr``. NaN and infinity have no JSON
+form and are refused with :class:`~dacr.errors.DomainError`.
 
 Schema errors (text that is not UTF-8, malformed or too deeply nested
 JSON, wrong shape, missing keys, wrong JSON types, unknown enum values)
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import IO, Any, Iterator
 
 import numpy as np
@@ -273,9 +274,9 @@ def load_arc(path: str) -> ArcParameters:
 # ---------------------------------------------------------------------------
 # emission
 
-# Rows per block when writing CSV, so a large table is never held as
-# Python floats all at once.
-_CSV_BLOCK_ROWS = 4096
+# Rows per block of a formatted float array: orjson's output and its
+# rewrites never exceed one block, and CSV is written block by block.
+_BLOCK_ROWS = 4096
 
 _NON_FINITE = "result holds a non-finite number, which JSON and CSV cannot carry"
 
@@ -340,20 +341,47 @@ def _bracket(items: list[str], level: int, open_: str = "[", close: str = "]") -
     if not items:
         return open_ + close
     inner = "\n" + "  " * (level + 1)
-    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * level + close
+    return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * level}{close}"
+
+
+def _exponent_form(m: re.Match) -> bytes:
+    """repr's 1.5e-05 for orjson's 0.000015; unchanged after a digit, as the tail of 10.000015."""
+    if m.string[m.start() - 1 : m.start()].isdigit():
+        return m[0]
+    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
+
+
+def _format_blocks(a: np.ndarray, indent: bool) -> Iterator[bytes]:
+    """The JSON text of each ``_BLOCK_ROWS``-row block of a finite float
+    array, every number spelled as ``repr`` spells it. orjson writes the
+    same digits, but no exponent sign or leading zero (1e16, 1.5e-7) and
+    1e-5 <= |x| < 1e-4 positionally (0.000015)."""
+    import orjson  # here, so that a process that emits no array never loads it
+
+    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
+    for start in range(0, a.shape[0], _BLOCK_ROWS):
+        text = orjson.dumps(np.ascontiguousarray(a[start : start + _BLOCK_ROWS]), option=option)
+        if b"e" in text:
+            text = re.sub(rb"e-(\d)\b", rb"e-0\1", text.replace(b"e", b"e+").replace(b"e+-", b"e-"))
+        if b"0.0000" in text:
+            text = re.sub(rb"0\.0000([1-9])(\d*)", _exponent_form, text)
+        yield text
 
 
 def _encode(obj: Any, level: int) -> str:
     """``json.dumps(obj, indent=2)`` at nesting depth ``level``, with
-    float ndarrays formatted whole through ``%r`` templates."""
+    float ndarrays formatted in row blocks by :func:`_format_blocks`."""
     if isinstance(obj, np.ndarray):
         a = _finite_array(obj)
-        if a.ndim == 1:
-            return _bracket(["%r"] * a.shape[0], level) % tuple(a.tolist())
-        if a.ndim == 2:
-            row = _bracket(["%r"] * a.shape[1], level + 1)
-            return _bracket([row] * a.shape[0], level) % tuple(a.ravel().tolist())
-        return _encode(a.tolist(), level)
+        if a.ndim == 0 or a.shape[0] == 0:
+            return _encode(a.tolist(), level)
+        indent = "\n" + "  " * level
+        # Each block is "[" items "\n]", indented for level 0. The outer
+        # brackets go on the end blocks, so the join is the one full-size copy.
+        blocks = [t[1:-2].replace(b"\n", indent.encode()).decode() for t in _format_blocks(a, indent=True)]
+        blocks[0] = "[" + blocks[0]
+        blocks[-1] += indent + "]"
+        return ",".join(blocks)
     if isinstance(obj, dict):
         items = []
         for key, value in obj.items():
@@ -374,8 +402,8 @@ def dump_json(obj: Any, stream: IO[str]) -> None:
     """Write an object as two-space-indented JSON with a trailing newline.
 
     The text is byte for byte ``json.dumps(obj, indent=2)``; float
-    ndarrays (1-D or 2-D) may stand in for nested lists. Nothing is
-    written unless the whole object encodes.
+    ndarrays may stand in for nested lists. Nothing is written unless
+    the whole object encodes.
 
     Raises:
         DomainError: if a number is NaN or infinite.
@@ -387,10 +415,9 @@ def dump_json(obj: Any, stream: IO[str]) -> None:
 def _write_csv(header: str, table: np.ndarray, stream: IO[str]) -> None:
     table = _finite_array(table)
     stream.write(header)
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        stream.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    for text in _format_blocks(table, indent=False):
+        stream.write(text[2:-2].replace(b"],[", b"\n").decode())
+        stream.write("\n")  # apart: appending it would copy the block once more
 
 
 def write_matrix_csv(name: str, matrix: np.ndarray, stream: IO[str]) -> None:

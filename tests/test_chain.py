@@ -102,6 +102,15 @@ class TestAccumulate:
             interdependent_accumulate(rob, ["abc", np.zeros(3)])
         with pytest.raises(DimensionMismatch, match="^segment 1 rho has length 2, expected 3$"):
             interdependent_accumulate(rob, [np.zeros(3), np.zeros(2)])
+        # A well-shaped stack still names its first faulty row, before the segment count.
+        stack = np.zeros((3, 3))
+        stack[2, 0], stack[1, 1] = np.inf, np.nan
+        with pytest.raises(DomainError, match="^segment 1 values must be finite$"):
+            interdependent_accumulate(rob, stack)
+        with pytest.raises(DimensionMismatch, match="^segment 0 rho has length 4, expected 3$"):
+            interdependent_accumulate(rob, np.zeros((3, 4)))
+        with pytest.raises(DimensionMismatch, match="^state has 3 segments, robot has 2$"):
+            interdependent_accumulate(rob, np.zeros((3, 3)))
 
 
 class TestInterdependentForward:
@@ -547,6 +556,31 @@ class TestChainSingleValidation:
         rob = robot([ARR3, ARR4], (1.0, 2.0), Coupling.INDEPENDENT)
         independent_forward(rob, ChainState(Convention.RHO, (np.zeros(3), np.zeros(4))))
         assert validations == ["chain rows"]
+
+    @pytest.mark.parametrize("rows", [
+        [[2.0, -1.0, -1.0], [-2.0, 1.0, 1.0]],
+        (np.array([2.0, -1.0, -1.0]), np.array([-2.0, 1.0, 1.0])),
+        np.array([[2.0, -1.0, -1.0], [-2.0, 1.0, 1.0]]),
+    ], ids=["lists", "arrays", "stack"])
+    def test_interdependent_accumulate(self, validations, rows):
+        # Clean rows are converted once, as one (m, n) stack, and never checked row by row.
+        state = interdependent_accumulate(interdependent(), rows)
+        assert validations == []
+        assert as_bits(state.per_segment) == as_bits([[8.0, 11.0, 11.0], [30.0, 30.0, 30.0]])
+        assert not any(r.flags.writeable for r in state.per_segment)
+
+    def test_interdependent_accumulate_holds_no_caller_array(self):
+        rho = np.zeros((2, 3))
+        state = interdependent_accumulate(interdependent(), rho)
+        rho[:] = 1.0
+        assert as_bits(state.per_segment) == as_bits([[10.0] * 3, [30.0] * 3])
+
+    def test_interdependent_accumulate_rows_read_once(self, validations):
+        # Rows the stack cannot take (a generator) fall back to the row checks.
+        rows = (np.zeros(3) for _ in range(2))
+        state = interdependent_accumulate(interdependent(), rows)
+        assert validations == ["chain rows"]
+        assert as_bits(state.per_segment) == as_bits([[10.0] * 3, [30.0] * 3])
 
 
 class TestChainStateRows:

@@ -22,6 +22,7 @@ from dacr import (
     recover_length,
     validate_displacement,
 )
+import dacr.clarke
 from dacr.clarke import _pseudoinverse_mp
 
 
@@ -113,6 +114,19 @@ class TestBuildPair:
         for psi in ([0.1, 1.9, 4.0], [0.0, np.pi / 2, np.pi], [0.5, 2.0, 3.5, 5.0]):
             pair = build_pair(arrangement(psi))
             np.testing.assert_allclose(pair.mp, np.linalg.pinv(pair.mp_inv), atol=1e-12)
+
+    def test_filter_margin_exactly_at_tolerance_filters(self, monkeypatch):
+        # No arrangement puts max|mp @ ones| on FILTER_TOL = 1e-9 itself: the
+        # margin is a sum of O(1) entries of mp, so it falls on a grid of
+        # about 2**-54, far coarser than the last bit of 1e-9. This
+        # arrangement's margin is about 1e-9, and the tolerance is set to it.
+        psi = [np.pi / 2, 3 * np.pi / 2, 2e-9, np.pi]
+        margin = float(np.max(np.abs(build_pair(arrangement(psi)).mp @ np.ones(4))))
+        assert 0.9e-9 < margin < 1.1e-9
+        monkeypatch.setattr(dacr.clarke, "FILTER_TOL", margin)
+        assert build_pair(arrangement(psi)).filter_ok
+        monkeypatch.setattr(dacr.clarke, "FILTER_TOL", np.nextafter(margin, 0.0))
+        assert not build_pair(arrangement(psi)).filter_ok
 
     def test_asymmetric_hand_computed_matrix(self):
         # Gram matrix is diag(2, 1), so mp halves the cosine row only.

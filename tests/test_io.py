@@ -2,6 +2,8 @@
 
 import io
 import json
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from dacr import (
     Violation,
     sample_backbone,
 )
+import dacr.io
 from dacr.io import (
     arc_dict,
     chain_clarke_dict,
@@ -500,3 +503,93 @@ class TestCsvWriters:
         parsed = np.array([[float(tok) for tok in line.split(",")] for line in lines])
         np.testing.assert_array_equal(parsed[:, 0], poly.s)
         np.testing.assert_array_equal(parsed[:, 1:], poly.points)
+
+
+# Values where orjson's spelling and repr's differ, or sit at an edge of
+# the two rewrites in io._format_blocks: signed zero, subnormal and
+# normal minima, the positional range 1e-5 <= |x| < 1e-4 and its ends,
+# the switch to exponent form at 1e16, the largest double, and numbers
+# whose tails look like the positional range.
+SPELLING_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    1e-05, 1.5e-05, -1.5e-05,
+    9.999999999999999e-05, 1e-4,
+    9999999999999998.0, 1e16,
+    1.7976931348623157e308,
+    10.00001, 100.000012,
+]
+BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(
+    lambda x: x == x and abs(x) != float("inf")
+)
+DOUBLES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(1e-5, 1e-4).flatmap(lambda x: st.sampled_from([x, -x]))
+    | BIT_PATTERNS
+    | st.sampled_from(SPELLING_EDGES + [-x for x in SPELLING_EDGES])
+)
+
+
+def nest(a, level):
+    """a inside level lists and objects, with the same document as lists."""
+    doc, expect = a, a.tolist()
+    for i in range(level):
+        doc, expect = ([doc], [expect]) if i % 2 == 0 else ({"k": doc}, {"k": expect})
+    return doc, expect
+
+
+def repr_rows(name, table):
+    return name + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+class TestArraySpelling:
+    """Every float array is formatted by io._format_blocks; its text must be
+    byte for byte what json.dumps and repr write, in every block."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        a=arrays(np.float64, st.lists(st.integers(0, 9), min_size=1, max_size=2).map(tuple), elements=DOUBLES),
+        level=st.integers(0, 3),
+        block_rows=st.integers(1, 4),
+    )
+    def test_json_matches_json_dumps(self, a, level, block_rows):
+        doc, expect = nest(a, level)
+        buf = io.StringIO()
+        with mock.patch.object(dacr.io, "_BLOCK_ROWS", block_rows):
+            assert dacr.io._encode(doc, 0) == json.dumps(expect, indent=2)
+            dump_json(doc, buf)
+        assert buf.getvalue() == json.dumps(expect, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        table=arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 4)), elements=DOUBLES),
+        block_rows=st.integers(1, 4),
+    )
+    def test_csv_rows_match_repr(self, table, block_rows):
+        buf = io.StringIO()
+        with mock.patch.object(dacr.io, "_BLOCK_ROWS", block_rows):
+            write_matrix_csv("m", table, buf)
+        assert buf.getvalue() == repr_rows("m", table)
+
+    @pytest.mark.parametrize("x", SPELLING_EDGES + [-x for x in SPELLING_EDGES])
+    def test_edge_value(self, x):
+        a = np.array([[x, 1.0], [2.5, x]])
+        assert dacr.io._encode(a, 0) == json.dumps(a.tolist(), indent=2)
+        buf = io.StringIO()
+        write_matrix_csv("m", a, buf)
+        assert buf.getvalue() == repr_rows("m", a)
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_real_blocks(self, level):
+        # Random bit patterns and the edge values across three real blocks.
+        rows = 2 * dacr.io._BLOCK_ROWS + 1
+        bits = np.random.default_rng(level).integers(0, 2**64, size=(rows, 3), dtype=np.uint64)
+        a = bits.view(np.float64)
+        a[~np.isfinite(a)] = 0.5
+        a.flat[np.linspace(0, a.size - 1, len(SPELLING_EDGES)).astype(int)] = SPELLING_EDGES
+        doc, expect = nest(a, level)
+        buf = io.StringIO()
+        dump_json(doc, buf)
+        assert buf.getvalue() == json.dumps(expect, indent=2) + "\n"
+        buf = io.StringIO()
+        write_matrix_csv("m", a, buf)
+        assert buf.getvalue() == repr_rows("m", a)

@@ -28,7 +28,7 @@ from dacr import (
     validate_displacement,
     validate_robot,
 )
-from dacr.model import DISPLACEMENT_REL, OFF_MANIFOLD_REL, TWO_PI, _bound, arrangements_match
+from dacr.model import DISPLACEMENT_REL, OFF_MANIFOLD_REL, SYMMETRY_TOL_D, TWO_PI, _bound, arrangements_match
 
 
 def seg(arrangement, length=100.0, seg_type=SegmentType.TYPE0):
@@ -109,6 +109,15 @@ class TestSymmetricArrangement:
         psi = TWO_PI * np.arange(3) / 3 + 1e-12
         arr = JointArrangement(psi=psi, d=np.full(3, 10.0))
         assert arr.is_symmetric()
+
+    def test_radius_spread_exactly_at_tolerance_is_symmetric(self):
+        # At d_1 = 1e9 the tolerance SYMMETRY_TOL_D * d_1 is exactly 1.0 and
+        # d_1 +- 1 are exact, so the spread sits on the tolerance itself.
+        psi, d0 = TWO_PI * np.arange(3) / 3, 1e9
+        assert SYMMETRY_TOL_D * d0 == 1.0
+        assert JointArrangement(psi=psi, d=np.array([d0, d0 + 1.0, d0 - 1.0])).is_symmetric()
+        beyond = np.array([d0, np.nextafter(d0 + 1.0, np.inf), d0])
+        assert not JointArrangement(psi=psi, d=beyond).is_symmetric()
 
 
 class TestArrangementsMatch:
