@@ -3,10 +3,11 @@
 Every number is emitted as its ``repr``, the shortest decimal string
 that round-trips to the same IEEE-754 double: lossless and stable
 across platforms, so emitted files can be compared byte-for-byte. JSON
-text is exactly what ``json.dumps(obj, indent=2)`` writes; float arrays
-are formatted in row blocks by orjson, in native code, and re-spelled
-where its form differs from ``repr``. NaN and infinity have no JSON
-form and are refused with :class:`~dacr.errors.DomainError`.
+text is exactly ``json.dumps(obj, indent=2)``, written as unjoined
+pieces; float arrays are formatted in row blocks by orjson, indented at
+their nesting depth, and re-spelled where it differs from ``repr`` (the
+positional 0.000015 only in blocks with 0 < |x| < 1e-4). NaN and
+infinity have no JSON form and are refused with :class:`~dacr.errors.DomainError`.
 
 Schema errors (text that is not UTF-8, malformed or too deeply nested
 JSON, wrong shape, missing keys, wrong JSON types, unknown enum values)
@@ -336,14 +337,6 @@ def violations_dict(violations: list[Violation]) -> dict:
     }
 
 
-def _bracket(items: list[str], level: int, open_: str = "[", close: str = "]") -> str:
-    """Join encoded items the way ``json.dumps(indent=2)`` lays them out."""
-    if not items:
-        return open_ + close
-    inner = "\n" + "  " * (level + 1)
-    return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * level}{close}"
-
-
 def _exponent_form(m: re.Match) -> bytes:
     """repr's 1.5e-05 for orjson's 0.000015; unchanged after a digit, as the tail of 10.000015."""
     if m.string[m.start() - 1 : m.start()].isdigit():
@@ -351,72 +344,79 @@ def _exponent_form(m: re.Match) -> bytes:
     return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
 
 
-def _format_blocks(a: np.ndarray, indent: bool) -> Iterator[bytes]:
-    """The JSON text of each ``_BLOCK_ROWS``-row block of a finite float
-    array, every number spelled as ``repr`` spells it. orjson writes the
-    same digits, but no exponent sign or leading zero (1e16, 1.5e-7) and
-    1e-5 <= |x| < 1e-4 positionally (0.000015)."""
+def _format_blocks(a: np.ndarray, level: int | None) -> Iterator[str]:
+    """Each ``_BLOCK_ROWS``-row block of a finite float array in ``repr``'s
+    spelling: its items, indented by orjson for nesting depth ``level``, or
+    with ``None`` the compact rows of a 2-D table. orjson's 1e16, 1.5e-7 and
+    0.000015 are rewritten; the last only in blocks holding 0 < |x| < 1e-4."""
     import orjson  # here, so that a process that emits no array never loads it
 
-    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
+    option = orjson.OPT_SERIALIZE_NUMPY | (0 if level is None else orjson.OPT_INDENT_2)
+    # Indented, the block's own "[" follows the L(L+3) characters that open
+    # L wrappers, and its items end before its "\n" + indent + "]".
+    head, tail = (2, 2) if level is None else (level * (level + 3) + 1, level * (level + 3) + 2)
     for start in range(0, a.shape[0], _BLOCK_ROWS):
-        text = orjson.dumps(np.ascontiguousarray(a[start : start + _BLOCK_ROWS]), option=option)
+        block = np.ascontiguousarray(a[start : start + _BLOCK_ROWS])
+        wrapped = block
+        for _ in range(level or 0):
+            wrapped = [wrapped]
+        text = orjson.dumps(wrapped, option=option)
         if b"e" in text:
             text = re.sub(rb"e-(\d)\b", rb"e-0\1", text.replace(b"e", b"e+").replace(b"e+-", b"e-"))
-        if b"0.0000" in text:
+        if ((np.abs(block) < 1e-4) & (block != 0)).any():
             text = re.sub(rb"0\.0000([1-9])(\d*)", _exponent_form, text)
-        yield text
+        yield str(memoryview(text)[head : len(text) - tail], "ascii")
 
 
-def _encode(obj: Any, level: int) -> str:
-    """``json.dumps(obj, indent=2)`` at nesting depth ``level``, with
-    float ndarrays formatted in row blocks by :func:`_format_blocks`."""
-    if isinstance(obj, np.ndarray):
-        a = _finite_array(obj)
-        if a.ndim == 0 or a.shape[0] == 0:
-            return _encode(a.tolist(), level)
-        indent = "\n" + "  " * level
-        # Each block is "[" items "\n]", indented for level 0. The outer
-        # brackets go on the end blocks, so the join is the one full-size copy.
-        blocks = [t[1:-2].replace(b"\n", indent.encode()).decode() for t in _format_blocks(a, indent=True)]
-        blocks[0] = "[" + blocks[0]
-        blocks[-1] += indent + "]"
-        return ",".join(blocks)
-    if isinstance(obj, dict):
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(json.dumps(key) + ": " + _encode(value, level + 1))
-        return _bracket(items, level, "{", "}")
-    if isinstance(obj, (list, tuple)):
-        return _bracket([_encode(x, level + 1) for x in obj], level)
-    if isinstance(obj, float):
+def _pieces(obj: Any, level: int) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` at nesting depth ``level``, in pieces;
+    a float ndarray's are the blocks of :func:`_format_blocks`."""
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.shape[0]:
+        for i, block in enumerate(_format_blocks(_finite_array(obj), level)):
+            yield "," if i else "["
+            yield block
+        yield "\n" + "  " * level + "]"
+    elif isinstance(obj, np.ndarray):
+        yield from _pieces(_finite_array(obj).tolist(), level)
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        is_dict = isinstance(obj, dict)
+        inner = "\n" + "  " * (level + 1)
+        for i, item in enumerate(obj.items() if is_dict else obj):
+            yield ("," if i else "{" if is_dict else "[") + inner
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+                yield json.dumps(key) + ": "
+            yield from _pieces(item, level + 1)
+        yield "\n" + "  " * level + ("}" if is_dict else "]")
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise DomainError(_NON_FINITE)
-        return float.__repr__(obj)  # as json.dumps spells a finite float
-    return json.dumps(obj)
+        yield float.__repr__(obj)  # as json.dumps spells a finite float
+    else:
+        yield json.dumps(obj)  # also an empty list, tuple or dict
 
 
 def dump_json(obj: Any, stream: IO[str]) -> None:
     """Write an object as two-space-indented JSON with a trailing newline.
 
     The text is byte for byte ``json.dumps(obj, indent=2)``; float
-    ndarrays may stand in for nested lists. Nothing is written unless
-    the whole object encodes.
+    ndarrays may stand in for nested lists. Its pieces are never joined,
+    but all are made first: nothing is written unless the whole encodes.
 
     Raises:
         DomainError: if a number is NaN or infinite.
     """
-    stream.write(_encode(obj, 0))
+    stream.writelines(list(_pieces(obj, 0)))
     stream.write("\n")
 
 
 def _write_csv(header: str, table: np.ndarray, stream: IO[str]) -> None:
     table = _finite_array(table)
     stream.write(header)
-    for text in _format_blocks(table, indent=False):
-        stream.write(text[2:-2].replace(b"],[", b"\n").decode())
+    for rows in _format_blocks(table, None):
+        stream.write(rows.replace("],[", "\n"))
         stream.write("\n")  # apart: appending it would copy the block once more
 
 

@@ -123,16 +123,20 @@ class TestMatrix:
         assert stdout == ""
         assert dest.read_text() == out
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_sample_out_file_matches_stdout(self, capsys, write, tmp_path, fmt):
+    # 10^4 rows cross io._BLOCK_ROWS: several blocks reach --out through
+    # its in-memory buffer, and stdout directly.
+    @pytest.mark.parametrize("fmt, points", [("csv", 5), ("json", 5), ("csv", 10_000), ("json", 10_000)],
+                             ids=["csv", "json", "csv-10000", "json-10000"])
+    def test_sample_out_file_matches_stdout(self, capsys, write, tmp_path, fmt, points):
+        assert 10_000 > 2 * cli.io._BLOCK_ROWS
         argv = ["sample", "--input", write("arc.json", {"kappa": 0.01, "l": 100.0}),
-                "--points", "5", "--format", fmt]
+                "--points", str(points), "--format", fmt]
         _, out, _ = run(capsys, argv)
         dest = tmp_path / f"sample.{fmt}"
         code, stdout, _ = run(capsys, [*argv, "--out", str(dest)])
         assert code == 0
         assert stdout == ""
-        assert dest.read_text() == out
+        assert dest.read_bytes() == out.encode()
 
     @pytest.mark.parametrize("argv, expected_code", [
         (["arc", "to-clarke", "--input", "{arc}", "--d", "1e308"], 1),

@@ -3,6 +3,7 @@
 import io
 import json
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -348,6 +349,19 @@ class TestEmission:
         dump_json({"a": 1.5}, buf)
         assert buf.getvalue() == '{\n  "a": 1.5\n}\n'
 
+    def test_peak_memory_is_about_the_text(self):
+        # The pieces are written unjoined: at its peak, dump_json holds
+        # about one copy of its text.
+        poly = sample_backbone(ArcParameters(kappa=0.013, theta=0.9, l=42.0), points=100_000)
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            dump_json({"s": poly.s, "points": poly.points}, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(buf.getvalue())
+
     def test_parse_dump_roundtrip_preserves_doubles(self):
         # repr-based emission is lossless: the decoded value is bitwise
         # identical to the original.
@@ -363,11 +377,35 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 TEXT = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "\u00e9\u4e2d\U0001f600"])
 
 
+# Values where orjson's spelling and repr's differ, or sit at an edge of
+# the two rewrites in io._format_blocks: signed zero, subnormal and
+# normal minima, the positional range 1e-5 <= |x| < 1e-4 and its ends,
+# the switch to exponent form at 1e16, the largest double, and numbers
+# whose tails look like the positional range.
+SPELLING_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    1e-05, 1.5e-05, -1.5e-05,
+    9.999999999999999e-05, 1e-4,
+    9999999999999998.0, 1e16,
+    1.7976931348623157e308,
+    10.00001, 100.000012,
+]
+BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(
+    lambda x: x == x and abs(x) != float("inf")
+)
+DOUBLES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(1e-5, 1e-4).flatmap(lambda x: st.sampled_from([x, -x]))
+    | BIT_PATTERNS
+    | st.sampled_from(SPELLING_EDGES + [-x for x in SPELLING_EDGES])
+)
+
+
 @st.composite
 def float_arrays(draw):
     k = draw(st.integers(1, 6))
     shape = draw(st.sampled_from([(0,), (k,), (k, 1), (1, k), (0, k), (k, 0), (k, 3)]))
-    return draw(arrays(np.float64, shape, elements=FLOATS))
+    return draw(arrays(np.float64, shape, elements=FLOATS | DOUBLES))
 
 
 JSON_TREES = st.recursive(
@@ -505,30 +543,6 @@ class TestCsvWriters:
         np.testing.assert_array_equal(parsed[:, 1:], poly.points)
 
 
-# Values where orjson's spelling and repr's differ, or sit at an edge of
-# the two rewrites in io._format_blocks: signed zero, subnormal and
-# normal minima, the positional range 1e-5 <= |x| < 1e-4 and its ends,
-# the switch to exponent form at 1e16, the largest double, and numbers
-# whose tails look like the positional range.
-SPELLING_EDGES = [
-    0.0, -0.0, 5e-324, 2.2250738585072014e-308,
-    1e-05, 1.5e-05, -1.5e-05,
-    9.999999999999999e-05, 1e-4,
-    9999999999999998.0, 1e16,
-    1.7976931348623157e308,
-    10.00001, 100.000012,
-]
-BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(
-    lambda x: x == x and abs(x) != float("inf")
-)
-DOUBLES = (
-    st.floats(allow_nan=False, allow_infinity=False)
-    | st.floats(1e-5, 1e-4).flatmap(lambda x: st.sampled_from([x, -x]))
-    | BIT_PATTERNS
-    | st.sampled_from(SPELLING_EDGES + [-x for x in SPELLING_EDGES])
-)
-
-
 def nest(a, level):
     """a inside level lists and objects, with the same document as lists."""
     doc, expect = a, a.tolist()
@@ -548,14 +562,14 @@ class TestArraySpelling:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         a=arrays(np.float64, st.lists(st.integers(0, 9), min_size=1, max_size=2).map(tuple), elements=DOUBLES),
-        level=st.integers(0, 3),
+        level=st.integers(0, 5),
         block_rows=st.integers(1, 4),
     )
     def test_json_matches_json_dumps(self, a, level, block_rows):
         doc, expect = nest(a, level)
         buf = io.StringIO()
         with mock.patch.object(dacr.io, "_BLOCK_ROWS", block_rows):
-            assert dacr.io._encode(doc, 0) == json.dumps(expect, indent=2)
+            assert "".join(dacr.io._pieces(doc, 0)) == json.dumps(expect, indent=2)
             dump_json(doc, buf)
         assert buf.getvalue() == json.dumps(expect, indent=2) + "\n"
 
@@ -573,12 +587,12 @@ class TestArraySpelling:
     @pytest.mark.parametrize("x", SPELLING_EDGES + [-x for x in SPELLING_EDGES])
     def test_edge_value(self, x):
         a = np.array([[x, 1.0], [2.5, x]])
-        assert dacr.io._encode(a, 0) == json.dumps(a.tolist(), indent=2)
+        assert "".join(dacr.io._pieces(a, 0)) == json.dumps(a.tolist(), indent=2)
         buf = io.StringIO()
         write_matrix_csv("m", a, buf)
         assert buf.getvalue() == repr_rows("m", a)
 
-    @pytest.mark.parametrize("level", range(4))
+    @pytest.mark.parametrize("level", range(6))
     def test_real_blocks(self, level):
         # Random bit patterns and the edge values across three real blocks.
         rows = 2 * dacr.io._BLOCK_ROWS + 1
