@@ -46,10 +46,7 @@ class ArcParameters:
     l: float
 
     def __post_init__(self) -> None:
-        try:
-            kappa, theta, l = float(self.kappa), float(self.theta), float(self.l)
-        except (TypeError, ValueError, OverflowError):  # _number names the first that fails
-            kappa, theta, l = (_number(n, getattr(self, n)) for n in ("kappa", "theta", "l"))
+        kappa, theta, l = (_number(n, getattr(self, n)) for n in ("kappa", "theta", "l"))
         # phi = l * kappa is not finite if l or kappa is not; 0.0 * phi is then NaN.
         if not math.isfinite(theta + 0.0 * (l * kappa)):
             values = {"kappa": kappa, "theta": theta, "l": l, "phi": l * kappa}

@@ -9,12 +9,14 @@ their nesting depth, and re-spelled where it differs from ``repr`` (the
 positional 0.000015 only in blocks with 0 < |x| < 1e-4). NaN and
 infinity have no JSON form and are refused with :class:`~dacr.errors.DomainError`.
 
+Every document is read by one field reader, ``_fields``: a key without a
+default is required, only the optional ``beta`` and ``alpha`` may be null,
+and a field is named by its path, as ``segments[1].joints.symmetric.n``.
 Schema errors (text that is not UTF-8, malformed or too deeply nested
 JSON, wrong shape, missing keys, wrong JSON types, unknown enum values)
 raise :class:`~dacr.errors.SchemaError`; value-domain problems inside
 a well-formed document surface as :class:`~dacr.errors.DomainError`
-from the constructors, or as violations from
-:func:`~dacr.model.validate_robot`.
+from the constructors, or as violations from :func:`~dacr.model.validate_robot`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from functools import partial
 from typing import IO, Any, Iterator
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from .arc import ArcParameters, BackbonePolyline
 from .chain import ChainClarke, ChainState
 from .clarke import ClarkeCoordinates
-from .errors import DomainError, SchemaError
+from .errors import DimensionMismatch, DomainError, SchemaError
 from .model import (
     Coupling,
     JointArrangement,
@@ -73,10 +76,32 @@ def _as_mapping(value: Any, where: str) -> dict:
     return value
 
 
-def _get(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
-        raise SchemaError(f"{where} is missing required key {key!r}")
-    return mapping[key]
+def _fields(data: Any, where: str, nested: bool = False, **spec) -> dict[str, Any]:
+    """The keys of ``spec`` read from the JSON object ``data``, in order.
+
+    Each key maps to a reader ``read(value, name)``, or to ``(read, default)``.
+    A key without a default is required; one whose default is None may also
+    be null. A field is named by its key, or ``where.key`` when ``nested``;
+    a missing key is reported against ``where``.
+    """
+    data = _as_mapping(data, where)
+    fields = {}
+    for key, read in spec.items():
+        optional = isinstance(read, tuple)
+        if key in data and not (optional and data[key] is None and read[1] is None):
+            fields[key] = (read[0] if optional else read)(data[key], f"{where}.{key}" if nested else key)
+        elif optional:
+            fields[key] = read[1]
+        else:
+            raise SchemaError(f"{where} is missing required key {key!r}")
+    return fields
+
+
+def _each(value: Any, where: str, **spec) -> list[dict[str, Any]]:
+    """The fields of each object in the JSON array ``value``, named ``where[i]``."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be an array")
+    return [_fields(item, f"{where}[{i}]", nested=True, **spec) for i, item in enumerate(value)]
 
 
 def _as_number(value: Any, where: str) -> float:
@@ -97,47 +122,29 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
-def _joint_scalars(data: dict) -> dict[str, float | None]:
-    """The optional ``beta`` and ``alpha`` of a state; null counts as absent."""
-    return {
-        name: None if data.get(name) is None else _as_number(data[name], name)
-        for name in ("beta", "alpha")
-    }
-
-
-def _segments(data: dict, where: str) -> Iterator[tuple[str, dict]]:
-    """Yield ``(where, entry)`` for each object in the ``segments`` array."""
-    segments = _get(data, "segments", where)
-    if not isinstance(segments, list):
-        raise SchemaError("'segments' must be an array")
-    for i, seg in enumerate(segments):
-        yield f"segments[{i}]", _as_mapping(seg, f"segments[{i}]")
-
-
-def _as_number_list(value: Any, where: str) -> list[float]:
+def _as_numbers(value: Any, where: str) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(f"{where} must be an array of numbers")
     return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
-def _parse_arrangement(joints: Any, where: str) -> JointArrangement:
+def _as_cc(value: Any, where: str) -> ClarkeCoordinates:
+    pair = _as_numbers(value, where)
+    if len(pair) != 2:
+        raise SchemaError(f"{where} must hold exactly two numbers")
+    return ClarkeCoordinates(*pair)
+
+
+def _as_joints(joints: Any, where: str) -> JointArrangement:
+    """One of ``{"symmetric": {"n", "d"}}`` or ``{"explicit": [{"psi", "d"}, ...]}``."""
     joints = _as_mapping(joints, where)
     if ("symmetric" in joints) == ("explicit" in joints):
         raise SchemaError(f"{where} must have exactly one of 'symmetric' or 'explicit'")
     if "symmetric" in joints:
-        sym = _as_mapping(joints["symmetric"], f"{where}.symmetric")
-        n = _as_int(_get(sym, "n", f"{where}.symmetric"), f"{where}.symmetric.n")
-        d = _as_number(_get(sym, "d", f"{where}.symmetric"), f"{where}.symmetric.d")
-        return make_symmetric_arrangement(n, d)
-    explicit = joints["explicit"]
-    if not isinstance(explicit, list):
-        raise SchemaError(f"{where}.explicit must be an array")
-    psi, d = [], []
-    for i, entry in enumerate(explicit):
-        entry = _as_mapping(entry, f"{where}.explicit[{i}]")
-        psi.append(_as_number(_get(entry, "psi", f"{where}.explicit[{i}]"), f"{where}.explicit[{i}].psi"))
-        d.append(_as_number(_get(entry, "d", f"{where}.explicit[{i}]"), f"{where}.explicit[{i}].d"))
-    return JointArrangement(psi=np.array(psi), d=np.array(d))
+        sym = _fields(joints["symmetric"], f"{where}.symmetric", nested=True, n=_as_int, d=_as_number)
+        return make_symmetric_arrangement(**sym)
+    entries = _each(joints["explicit"], f"{where}.explicit", psi=_as_number, d=_as_number)
+    return JointArrangement(psi=[e["psi"] for e in entries], d=[e["d"] for e in entries])
 
 
 def parse_robot(data: Any) -> RobotSpec:
@@ -158,15 +165,13 @@ def parse_robot(data: Any) -> RobotSpec:
             from the constructors, e.g. a symmetric arrangement with
             n < 3).
     """
-    data = _as_mapping(data, "robot description")
-    coupling = _member(Coupling, data.get("coupling", "independent"), "coupling", SchemaError)
-    segments = []
-    for where, seg in _segments(data, "robot description"):
-        seg_type = _member(SegmentType, seg.get("type", "type0"), f"{where}.type", SchemaError)
-        length = _as_number(_get(seg, "length", where), f"{where}.length")
-        arrangement = _parse_arrangement(_get(seg, "joints", where), f"{where}.joints")
-        segments.append(SegmentSpec(arrangement=arrangement, length=length, seg_type=seg_type))
-    return RobotSpec(segments=tuple(segments), coupling=coupling)
+    fields = _fields(
+        data, "robot description",
+        coupling=(partial(_member, Coupling, error=SchemaError), Coupling.INDEPENDENT),
+        segments=partial(_each, type=(partial(_member, SegmentType, error=SchemaError), SegmentType.TYPE0),
+                         length=_as_number, joints=_as_joints))
+    segments = tuple(SegmentSpec(s["joints"], s["length"], s["type"]) for s in fields["segments"])
+    return RobotSpec(segments=segments, coupling=fields["coupling"])
 
 
 def load_robot(path: str) -> RobotSpec:
@@ -180,11 +185,9 @@ def parse_joint_state(data: Any) -> JointState:
     Expected shape: ``{"convention": "rho"|"q", "values": [...],
     "beta": <num, optional>, "alpha": <num, optional>}``.
     """
-    data = _as_mapping(data, "joint state")
-    convention = _get(data, "convention", "joint state")
-    convention = _member(Convention, convention, "convention", SchemaError)
-    values = _as_number_list(_get(data, "values", "joint state"), "values")
-    return JointState(convention=convention, values=np.array(values), **_joint_scalars(data))
+    convention = partial(_member, Convention, error=SchemaError)
+    return JointState(**_fields(data, "joint state", convention=convention, values=_as_numbers,
+                                beta=(_as_number, None), alpha=(_as_number, None)))
 
 
 def parse_chain_state(data: Any) -> ChainState:
@@ -193,14 +196,9 @@ def parse_chain_state(data: Any) -> ChainState:
     Expected shape: ``{"convention": "rho"|"q",
     "segments": [{"values": [...]}, ...]}``.
     """
-    data = _as_mapping(data, "chain state")
-    convention = _get(data, "convention", "chain state")
-    convention = _member(Convention, convention, "convention", SchemaError)
-    vectors = tuple(
-        np.array(_as_number_list(_get(seg, "values", where), f"{where}.values"))
-        for where, seg in _segments(data, "chain state")
-    )
-    return ChainState(convention=convention, per_segment=vectors)
+    fields = _fields(data, "chain state", convention=partial(_member, Convention, error=SchemaError),
+                     segments=partial(_each, values=_as_numbers))
+    return ChainState(fields["convention"], tuple(seg["values"] for seg in fields["segments"]))
 
 
 def load_state(path: str) -> JointState | ChainState:
@@ -215,22 +213,14 @@ def load_state(path: str) -> JointState | ChainState:
     return parse_joint_state(data)
 
 
-def _parse_cc(value: Any, where: str) -> ClarkeCoordinates:
-    pair = _as_number_list(value, where)
-    if len(pair) != 2:
-        raise SchemaError(f"{where} must hold exactly two numbers")
-    return ClarkeCoordinates(pair[0], pair[1])
-
-
 def parse_clarke_state(data: Any) -> ExtendedClarkeState:
     """Build an ExtendedClarkeState from decoded JSON.
 
     Expected shape: ``{"cc": [<re>, <im>], "beta": <num, optional>,
     "alpha": <num, optional>}``.
     """
-    data = _as_mapping(data, "Clarke state")
-    cc = _parse_cc(_get(data, "cc", "Clarke state"), "cc")
-    return ExtendedClarkeState(cc=cc, **_joint_scalars(data))
+    return ExtendedClarkeState(**_fields(
+        data, "Clarke state", cc=_as_cc, beta=(_as_number, None), alpha=(_as_number, None)))
 
 
 def parse_chain_clarke(data: Any) -> ChainClarke:
@@ -238,12 +228,8 @@ def parse_chain_clarke(data: Any) -> ChainClarke:
 
     Expected shape: ``{"segments": [{"cc": [<re>, <im>]}, ...]}``.
     """
-    data = _as_mapping(data, "chain Clarke state")
-    ccs = tuple(
-        _parse_cc(_get(seg, "cc", where), f"{where}.cc")
-        for where, seg in _segments(data, "chain Clarke state")
-    )
-    return ChainClarke(per_segment=ccs)
+    segments = _fields(data, "chain Clarke state", segments=partial(_each, cc=_as_cc))["segments"]
+    return ChainClarke(tuple(seg["cc"] for seg in segments))
 
 
 def load_clarke(path: str) -> ExtendedClarkeState | ChainClarke:
@@ -260,11 +246,8 @@ def parse_arc(data: Any) -> ArcParameters:
     Expected shape: ``{"kappa": <num>, "theta": <num>, "l": <num>}``
     (theta optional, default 0).
     """
-    data = _as_mapping(data, "arc parameters")
-    kappa = _as_number(_get(data, "kappa", "arc parameters"), "kappa")
-    theta = _as_number(data.get("theta", 0.0), "theta")
-    l = _as_number(_get(data, "l", "arc parameters"), "l")
-    return ArcParameters(kappa=kappa, theta=theta, l=l)
+    return ArcParameters(**_fields(
+        data, "arc parameters", kappa=_as_number, theta=(_as_number, 0.0), l=_as_number))
 
 
 def load_arc(path: str) -> ArcParameters:
@@ -414,6 +397,8 @@ def dump_json(obj: Any, stream: IO[str]) -> None:
 
 def _write_csv(header: str, table: np.ndarray, stream: IO[str]) -> None:
     table = _finite_array(table)
+    if table.ndim != 2:
+        raise DimensionMismatch(f"a CSV table must be two-dimensional, got shape {table.shape}")
     stream.write(header)
     for rows in _format_blocks(table, None):
         stream.write(rows.replace("],[", "\n"))
@@ -424,6 +409,7 @@ def write_matrix_csv(name: str, matrix: np.ndarray, stream: IO[str]) -> None:
     """Write one matrix as a name line followed by comma-separated rows.
 
     Raises:
+        DimensionMismatch: if the matrix is not 2-D; nothing is written.
         DomainError: if an entry is NaN or infinite; nothing is written.
     """
     _write_csv(name + "\n", matrix, stream)

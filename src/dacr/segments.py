@@ -193,7 +193,8 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
     on-manifold rho. The projector term sums to zero when the filter
     property holds, so this is mean(q), which is refused unless positive.
     Asymmetric arrangements lack that property, and silently averaging
-    their q would hide a modeling error.
+    their q would hide a modeling error. It is the beta of
+    :func:`type1_forward_from_q`, so it refuses the same inputs.
 
     Args:
         pair: matrices for the segment's arrangement.
@@ -209,11 +210,7 @@ def recover_length(pair: ClarkePair, q, tol: float | None = None) -> float:
         OffManifold: if, after removing the recovered constant, q is not
             a valid displacement vector within tol.
     """
-    q, beta = _from_q(pair, SegmentType.TYPE1, q, tol)
-    cc = (pair.mp @ q).tolist()  # not kept; an overflow is refused as type1_forward_from_q does
-    if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
-        ClarkeCoordinates(-cc[0], -cc[1])
-    return beta
+    return type1_forward_from_q(pair, q, tol).beta
 
 
 def type1_forward_from_q(pair: ClarkePair, q, tol: float | None = None) -> ExtendedClarkeState:

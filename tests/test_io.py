@@ -1,9 +1,11 @@
 """JSON/CSV parsing and emission."""
 
+import copy
 import io
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from dacr import (
     ClarkeCoordinates,
     Convention,
     Coupling,
+    DimensionMismatch,
     DomainError,
     ExtendedClarkeState,
     JointState,
@@ -270,6 +273,100 @@ class TestParseArc:
     def test_domain_error_passes_through(self):
         with pytest.raises(DomainError):
             parse_arc({"kappa": -0.1, "l": 5})
+
+
+# One valid document per parse_* kind. Every case below starts from one of
+# them; the robot has one symmetric and one explicit segment.
+VALID_DOCUMENTS = {
+    "robot": (parse_robot, {
+        "coupling": "interdependent",
+        "segments": [
+            {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
+            {"type": "type3", "length": 80.0, "joints": {"explicit": [
+                {"psi": 0.0, "d": 5.0},
+                {"psi": 2.0943951023931953, "d": 5.0},
+                {"psi": 4.1887902047863905, "d": 5.0},
+            ]}},
+        ],
+    }),
+    "joint state": (parse_joint_state, {
+        "convention": "q", "values": [101.0, 99.5, 99.5], "beta": 100.0, "alpha": 0.25}),
+    "chain state": (parse_chain_state, {
+        "convention": "rho",
+        "segments": [{"values": [1.0, -0.5, -0.5]}, {"values": [0.0, 0.5, -0.5]}],
+    }),
+    "Clarke state": (parse_clarke_state, {"cc": [1.0, -2.0], "beta": 100.0, "alpha": 0.25}),
+    "chain Clarke state": (parse_chain_clarke, {"segments": [{"cc": [1.0, -2.0]}, {"cc": [0.0, 0.5]}]}),
+    "arc": (parse_arc, {"kappa": 0.01, "theta": 0.5, "l": 100.0}),
+}
+
+# Each stands in for a key's value and for a whole document.
+REPLACEMENTS = {
+    "null": None, "true": True, '"x"': "x", "[]": [], "{}": {}, "[1]": [1],
+    "10**400": 10**400, "1e400": json.loads("1e400"), "-1": -1, "0": 0,
+}
+
+
+def key_paths(doc, prefix=""):
+    """``(path, keys)`` for every key of a document, objects and arrays alike."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        if isinstance(key, int):
+            path = f"{prefix}[{key}]"
+        else:
+            path = f"{prefix}.{key}" if prefix else key
+        yield path, (key,)
+        for sub, keys in key_paths(value, path):
+            yield sub, (key, *keys)
+
+
+def parse_cases():
+    """``(case, parse, document)``: each valid document, each key dropped or
+    replaced by each of REPLACEMENTS, and each replacement as the document."""
+    for kind, (parse, valid) in VALID_DOCUMENTS.items():
+        yield f"{kind}: valid", parse, valid
+        for path, keys in key_paths(valid):
+            for label, value in {"drop": None, **REPLACEMENTS}.items():
+                doc = copy.deepcopy(valid)
+                parent = doc
+                for key in keys[:-1]:
+                    parent = parent[key]
+                if label == "drop":
+                    del parent[keys[-1]]
+                    yield f"{kind}: drop {path}", parse, doc
+                else:
+                    parent[keys[-1]] = copy.deepcopy(value)
+                    yield f"{kind}: {path} = {label}", parse, doc
+        for label, value in REPLACEMENTS.items():
+            yield f"{kind}: document = {label}", parse, copy.deepcopy(value)
+
+
+def parse_outcomes():
+    """Each case's outcome: None if it parses, else ``[error class, message]``."""
+    outcomes = {}
+    for case, parse, doc in parse_cases():
+        try:
+            parse(doc)
+        except Exception as exc:  # noqa: BLE001 - a leaked Python error is an outcome too
+            outcomes[case] = [type(exc).__name__, str(exc)]
+        else:
+            outcomes[case] = None
+    return outcomes
+
+
+class TestParseOutcomes:
+    """Every parse outcome is pinned by tests/golden/parse_outcomes.json, which
+    was written by ``parse_outcomes()`` from the per-document parsers that
+    io's field reader replaced. The field reader changed one message, by
+    hand in the golden: ``'segments' must be an array`` reads
+    ``segments must be an array``."""
+
+    def test_every_case_keeps_its_class_and_message(self):
+        golden = json.loads((Path(__file__).parent / "golden" / "parse_outcomes.json").read_text())
+        outcomes = parse_outcomes()
+        assert list(outcomes) == list(golden)
+        changed = {case: (golden[case], got) for case, got in outcomes.items() if got != golden[case]}
+        assert changed == {}
 
 
 class TestRobotFile:
@@ -532,6 +629,13 @@ class TestCsvWriters:
         buf = io.StringIO()
         write_polyline_csv(poly, buf)
         assert buf.getvalue() == "s,x,y,z\n0.0,0.0,0.0,0.0\n100.0,0.0,0.0,100.0\n"
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)])
+    def test_table_not_two_dimensional_is_refused_before_writing(self, shape):
+        buf = io.StringIO()
+        with pytest.raises(DimensionMismatch, match=r"must be two-dimensional, got shape"):
+            write_matrix_csv("m", np.ones(shape), buf)
+        assert buf.getvalue() == ""
 
     def test_polyline_values_roundtrip(self):
         poly = sample_backbone(ArcParameters(kappa=0.013, theta=0.9, l=42.0), points=4)

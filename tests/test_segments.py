@@ -176,10 +176,9 @@ class TestRecoverLength:
         data=st.data(),
     )
     def test_same_bits_and_refusals_as_type1_forward(self, pair, scale, tol, data):
-        """recover_length builds no Clarke state, yet returns the beta of
-        type1_forward_from_q bit for bit and refuses what it refuses, with
-        the same class and message: off-manifold, overflowing and
-        mis-sized q included."""
+        """recover_length returns the beta of type1_forward_from_q bit for
+        bit and refuses what it refuses, with the same class and message:
+        off-manifold, overflowing and mis-sized q included."""
         n = pair.n + data.draw(st.sampled_from([0, 0, 0, -1]))
         unit = st.floats(-1.0, 1.0)
         kind = data.draw(st.sampled_from(["wide", "scaled", "manifold"]))
