@@ -56,16 +56,10 @@ class ClarkeCoordinates:
     rho_im: float
 
     def __post_init__(self) -> None:
-        try:
-            finite = math.isfinite(self.rho_re) and math.isfinite(self.rho_im)
-        except (TypeError, OverflowError):  # not a float: convert both, or name the one that fails
-            for name in ("rho_re", "rho_im"):
-                object.__setattr__(self, name, _number(name, getattr(self, name)))
-            finite = math.isfinite(self.rho_re) and math.isfinite(self.rho_im)
-        if not finite:
-            raise DomainError(
-                f"Clarke coordinates must be finite, got ({self.rho_re}, {self.rho_im})"
-            )
+        re, im = _number("rho_re", self.rho_re), _number("rho_im", self.rho_im)
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise DomainError(f"Clarke coordinates must be finite, got ({re}, {im})")
+        self.__dict__.update(rho_re=re, rho_im=im)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho_re, self.rho_im])

@@ -343,7 +343,10 @@ def _format_blocks(a: np.ndarray, level: int | None) -> Iterator[str]:
         wrapped = block
         for _ in range(level or 0):
             wrapped = [wrapped]
-        text = orjson.dumps(wrapped, option=option)
+        try:
+            text = orjson.dumps(wrapped, option=option)
+        except orjson.JSONEncodeError:  # a float array's only failure: nesting past orjson's limit
+            raise DomainError("result nests too deeply to encode as JSON") from None
         if b"e" in text:
             text = re.sub(rb"e-(\d)\b", rb"e-0\1", text.replace(b"e", b"e+").replace(b"e+-", b"e-"))
         if ((np.abs(block) < 1e-4) & (block != 0)).any():
@@ -389,9 +392,12 @@ def dump_json(obj: Any, stream: IO[str]) -> None:
     but all are made first: nothing is written unless the whole encodes.
 
     Raises:
-        DomainError: if a number is NaN or infinite.
+        DomainError: if a number is NaN or infinite, or obj nests too deeply.
     """
-    stream.writelines(list(_pieces(obj, 0)))
+    try:
+        stream.writelines(list(_pieces(obj, 0)))
+    except RecursionError:
+        raise DomainError("result nests too deeply to encode as JSON") from None
     stream.write("\n")
 
 

@@ -2,8 +2,6 @@
 
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,21 +213,6 @@ class TestForward:
         doc = run_json(capsys, ["forward", "--robot", robot, "--input", state])
         assert doc["segments"][0]["cc"][0] == pytest.approx(2.0, abs=1e-12)
         assert doc["segments"][1]["cc"][0] == pytest.approx(-2.0, abs=1e-12)
-
-    def test_type3_large_twist_recovers_beta(self, write):
-        # alpha*d = 20 against beta = 4: mean(q) = hypot(20, 4), so
-        # beta = sqrt((m - 20) * (m + 20)) = 4.
-        robot = write("robot.json", TYPE3_LONG_ARM)
-        h = math.hypot(20.0, 4.0)
-        state = write("state.json", {"convention": "q", "values": [h - 2.0, h + 1.0, h + 1.0],
-                                     "alpha": 2.0})
-        run = subprocess.run([sys.executable, "-m", "dacr", "forward", "--robot", robot,
-                              "--input", state], capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert "Traceback" not in run.stderr
-        doc = json.loads(run.stdout)
-        assert doc["beta"] == pytest.approx(4.0, rel=1e-12)
-        assert doc["cc"][0] == pytest.approx(2.0, abs=1e-12)
 
     def test_type3_mean_below_twist_arm_is_domain_error(self, capsys, write):
         robot = write("robot.json", TYPE3_LONG_ARM)
@@ -475,18 +458,6 @@ class TestChainCommands:
         assert fwd["segments"][0]["cc"][0] == pytest.approx(2.0, abs=1e-9)
         assert fwd["segments"][1]["cc"][0] == pytest.approx(-2.0, abs=1e-9)
 
-    def test_inverse_reproduces_its_golden_file(self):
-        # The chain-forward golden output, mapped back: byte for byte.
-        golden = Path(__file__).parent / "golden"
-        run = subprocess.run(
-            [sys.executable, "-m", "dacr", "chain", "inverse",
-             "--robot", str(golden / "chain_robot.json"),
-             "--input", str(golden / "chain_forward.expected.json")],
-            capture_output=True,
-        )
-        assert run.returncode == 0, run.stderr.decode()
-        assert run.stdout == (golden / "chain_inverse.expected.json").read_bytes()
-
     def test_accumulate(self, capsys, write):
         robot = write("robot.json", CHAIN2)
         state = write("state.json", {
@@ -504,6 +475,53 @@ class TestChainCommands:
         code, _, err = run(capsys, ["chain", "forward", "--robot", robot, "--input", state])
         assert code == 2
         assert "error:" in err
+
+
+class TestRoundTrips:
+    """An emitted document that is also an input kind reads back, as
+    emitted, through the command that takes that kind."""
+
+    @staticmethod
+    def emitted(capsys, write, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        return write("emitted.json", out)
+
+    @pytest.mark.parametrize("cc", [[3.0, 4.0], [0.0, 0.0]], ids=["bent", "straight"])
+    def test_arc_from_clarke_feeds_to_clarke_and_sample(self, capsys, write, cc):
+        # The arc carries the derived phi and theta_defined, which are read past.
+        arc = self.emitted(capsys, write, ["arc", "from-clarke", "--input",
+                                           write("cc.json", {"cc": cc}), "--d", "10", "--l", "100"])
+        assert {"phi", "theta_defined"} <= json.loads(Path(arc).read_text()).keys()
+        doc = run_json(capsys, ["arc", "to-clarke", "--input", arc, "--d", "10"])
+        np.testing.assert_allclose(doc["cc"], cc, rtol=1e-12, atol=1e-12)
+        doc = run_json(capsys, ["sample", "--input", arc, "--points", "3", "--format", "json"])
+        assert doc["s"] == [0.0, 50.0, 100.0]
+
+    @pytest.mark.parametrize("segment_type, cc", [
+        ("type0", {"cc": [2.0, 0.0]}),
+        ("type1", {"cc": [1.0, -0.5], "beta": 10.0}),
+        ("type3", {"cc": [2.0, 0.0], "beta": 4.0, "alpha": 0.3}),
+    ])
+    def test_inverse_feeds_forward(self, capsys, write, segment_type, cc):
+        robot = write("robot.json", {"segments": [
+            {"type": segment_type, "length": 4.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
+        ]})
+        state = self.emitted(capsys, write, ["inverse", "--robot", robot,
+                                             "--input", write("cc.json", cc)])
+        doc = run_json(capsys, ["forward", "--robot", robot, "--input", state])
+        np.testing.assert_allclose(doc.pop("cc"), cc.pop("cc"), atol=1e-12)
+        assert doc == cc
+
+    def test_chain_accumulate_feeds_chain_forward(self, capsys, write):
+        robot = write("robot.json", CHAIN2)
+        rho = {"convention": "rho",
+               "segments": [{"values": [2.0, -1.0, -1.0]}, {"values": [-2.0, 1.0, 1.0]}]}
+        state = self.emitted(capsys, write, ["chain", "accumulate", "--robot", robot,
+                                             "--input", write("rho.json", rho)])
+        doc = run_json(capsys, ["chain", "forward", "--robot", robot, "--input", state])
+        np.testing.assert_allclose([s["cc"] for s in doc["segments"]],
+                                   [[2.0, 0.0], [-2.0, 0.0]], atol=1e-12)
 
 
 class TestExitCodes:
@@ -606,19 +624,6 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["matrix", "--robot", robot])
         assert code == 2
 
-    @pytest.mark.parametrize("content", [
-        b'\xff\xfe{"segments": []}',
-        b"[" * 100_000 + b"]" * 100_000,
-    ], ids=["non-utf8", "too-deep"])
-    def test_code_2_unreadable_file(self, tmp_path, content):
-        robot = tmp_path / "robot.json"
-        robot.write_bytes(content)
-        run = subprocess.run([sys.executable, "-m", "dacr", "matrix", "--robot", str(robot)],
-                             capture_output=True, text=True)
-        assert (run.returncode, run.stdout) == (2, "")
-        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
-        assert "Traceback" not in run.stderr
-
     def test_code_1_overflowing_inverse_is_one_error_line(self, capsys, write):
         robot = write("robot.json", {"segments": [
             {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
@@ -639,43 +644,6 @@ class TestExitCodes:
         code, out, err = run(capsys, [command, "--robot", robot, "--input", state])
         assert (code, out) == (1, "")
         assert err.startswith("error: joint lengths are not consistent")
-
-    @pytest.mark.parametrize("command, state_text", [
-        (["forward"], '{"convention": "rho", "values": [1e400, 0.0, 0.0]}'),
-        (["chain", "forward"], '{"convention": "rho", "segments": [{"values": [1e400, 0.0, 0.0]}]}'),
-    ], ids=["forward", "chain-forward"])
-    def test_code_1_overflowing_number(self, write, command, state_text):
-        # 1e400 is valid JSON but parses to inf, which must not come back
-        # out as the non-JSON token Infinity.
-        robot = write("robot.json", SYM3)
-        state = write("state.json", state_text)
-        run = subprocess.run([sys.executable, "-m", "dacr", *command, "--robot", robot,
-                              "--input", state], capture_output=True, text=True)
-        assert run.returncode == 1
-        assert run.stdout == ""
-        assert "finite" in run.stderr
-        assert "Traceback" not in run.stderr
-
-    def test_code_1_underflowing_d_times_l(self, write):
-        cc = write("cc.json", {"cc": [2.0, 0.0]})
-        run = subprocess.run([sys.executable, "-m", "dacr", "arc", "from-clarke", "--input", cc,
-                              "--d", "1e-308", "--l", "1e-300"], capture_output=True, text=True)
-        assert run.returncode == 1
-        assert run.stdout == ""
-        assert "underflows" in run.stderr
-        assert "Traceback" not in run.stderr
-
-    def test_code_1_overflowing_beta(self, write):
-        robot = write("robot.json", {"segments": [
-            {"type": "type1", "length": 100.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
-        ]})
-        state = write("state.json", '{"convention": "rho", "values": [2, -1, -1], "beta": 1e400}')
-        run = subprocess.run([sys.executable, "-m", "dacr", "forward", "--robot", robot,
-                              "--input", state], capture_output=True, text=True)
-        assert run.returncode == 1
-        assert run.stdout == ""
-        assert "beta must be a finite number" in run.stderr
-        assert "Traceback" not in run.stderr
 
     @pytest.mark.parametrize("argv", [
         ["arc", "to-clarke", "--d", "10"],

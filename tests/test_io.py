@@ -400,6 +400,13 @@ class TestEmission:
             "cc": [2.0, 0.0],
         }
 
+    def test_integer_clarke_coordinates_are_emitted_as_floats(self):
+        cc = ClarkeCoordinates(1, 2)
+        assert (type(cc.rho_re), type(cc.rho_im)) == (float, float)
+        buf = io.StringIO()
+        dump_json(clarke_state_dict(ExtendedClarkeState(cc)), buf)
+        assert buf.getvalue() == '{\n  "cc": [\n    1.0,\n    2.0\n  ]\n}\n'
+
     def test_clarke_state_dict_keeps_extensions(self):
         state = ExtendedClarkeState(ClarkeCoordinates(2.0, 0.0), beta=4.0, alpha=0.3)
         assert clarke_state_dict(state) == {"cc": [2.0, 0.0], "beta": 4.0, "alpha": 0.3}
@@ -564,6 +571,30 @@ class TestDumpJsonIdentity:
         buf = io.StringIO()
         with pytest.raises(DomainError, match="non-finite"):
             dump_json(obj, buf)
+        assert buf.getvalue() == ""
+
+    @staticmethod
+    def nested(obj, depth):
+        for _ in range(depth):
+            obj = [obj]
+        return obj
+
+    def test_array_under_255_lists_encodes(self):
+        buf = io.StringIO()
+        dump_json(self.nested(np.array([1.0, 2.0]), 255), buf)
+        assert buf.getvalue() == json.dumps(self.nested([1.0, 2.0], 255), indent=2) + "\n"
+
+    # orjson refuses an array under 256 wrappers; Python's recursion limit,
+    # any list nested 2000 deep.
+    @pytest.mark.parametrize("bottom, depth", [
+        (np.array([1.0, 2.0]), 256),
+        (np.array([1.0, 2.0]), 2000),
+        (1.0, 2000),
+    ], ids=["array-256", "array-2000", "float-2000"])
+    def test_too_deep_refused_before_writing(self, bottom, depth):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="nests too deeply"):
+            dump_json(self.nested(bottom, depth), buf)
         assert buf.getvalue() == ""
 
 
