@@ -71,7 +71,7 @@ def _frozen_rows(rows) -> tuple[np.ndarray, ...]:
         vectors = [_readonly(values) for values in rows]
         flat = np.concatenate(vectors)  # raises, or is not 1-D, for a row that is not 1-D
         ok = flat.ndim == 1 and np.count_nonzero(np.isfinite(flat)) == flat.shape[0]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         vectors = [_readonly(_as_vector(v, name=f"segment {i} values")) for i, v in enumerate(rows)]
@@ -224,7 +224,7 @@ def interdependent_accumulate(robot: RobotSpec, rho_per_seg) -> ChainState:
     pair = _shared_pair(robot)
     try:
         rho = np.asarray(rho_per_seg, dtype=float)  # the one conversion of clean rows
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         rho = None
     if rho is None or rho.ndim != 2 or rho.shape[1] != pair.n or not np.isfinite(rho).all():
         rows = _frozen_rows(rho_per_seg)  # names the first faulty row

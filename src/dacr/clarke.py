@@ -107,7 +107,7 @@ def _as_vector(values, n: int | None = None, name: str = "vector") -> np.ndarray
     when n is given; a scalar is a vector of length 1."""
     try:
         out = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:  # text, ragged rows
+    except (TypeError, ValueError, OverflowError) as exc:  # text, ragged rows, 10**400
         raise DomainError(f"{name} must hold numbers ({exc})") from None
     if out.ndim == 0:
         out = out.reshape(1)

@@ -49,6 +49,7 @@ from .errors import ConventionMismatch, DacrError, DimensionMismatch, DomainErro
 from .model import DISPLACEMENT_REL, RobotSpec, SegmentSpec, validate_robot
 from .segments import (
     Convention,
+    ExtendedClarkeState,
     JointState,
     recover_length,
     segment_forward,
@@ -206,8 +207,7 @@ def _cmd_recover_length(
 
 
 def _cmd_arc_to_clarke(input: str, d: float) -> _Result:
-    cc = arc_to_clarke(io.load_arc(input), d)
-    return {"cc": [cc.rho_re, cc.rho_im]}, 0
+    return io.clarke_state_dict(ExtendedClarkeState(arc_to_clarke(io.load_arc(input), d))), 0
 
 
 def _cmd_arc_from_clarke(input: str, d: float, l: float) -> _Result:

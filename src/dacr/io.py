@@ -13,7 +13,7 @@ Every document is read by one field reader, ``_fields``: a key without a
 default is required, only the optional ``beta`` and ``alpha`` may be null,
 and a field is named by its path, as ``segments[1].joints.symmetric.n``.
 Schema errors (text that is not UTF-8, malformed or too deeply nested
-JSON, wrong shape, missing keys, wrong JSON types, unknown enum values)
+JSON, wrong shape, missing or unknown keys, wrong JSON types or enum values)
 raise :class:`~dacr.errors.SchemaError`; value-domain problems inside
 a well-formed document surface as :class:`~dacr.errors.DomainError`
 from the constructors, or as violations from :func:`~dacr.model.validate_robot`.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import asdict
 from functools import partial
 from typing import IO, Any, Iterator
 
@@ -76,17 +77,26 @@ def _as_mapping(value: Any, where: str) -> dict:
     return value
 
 
+def _refuse_unknown(data: dict, known, where: str) -> None:
+    for key in data:
+        if key not in known:
+            raise SchemaError(f"{where} has unknown key {key!r}")
+
+
 def _fields(data: Any, where: str, nested: bool = False, **spec) -> dict[str, Any]:
     """The keys of ``spec`` read from the JSON object ``data``, in order.
 
-    Each key maps to a reader ``read(value, name)``, or to ``(read, default)``.
-    A key without a default is required; one whose default is None may also
-    be null. A field is named by its key, or ``where.key`` when ``nested``;
-    a missing key is reported against ``where``.
+    Each key maps to a reader ``read(value, name)``, to ``(read, default)``,
+    or to None if it is only emitted, and so accepted and ignored. A key
+    without a default is required; one whose default is None may also be
+    null. A field is named by its key, or ``where.key`` when ``nested``; a
+    missing key, and once all are read an undeclared one, is reported at ``where``.
     """
     data = _as_mapping(data, where)
     fields = {}
     for key, read in spec.items():
+        if read is None:
+            continue
         optional = isinstance(read, tuple)
         if key in data and not (optional and data[key] is None and read[1] is None):
             fields[key] = (read[0] if optional else read)(data[key], f"{where}.{key}" if nested else key)
@@ -94,6 +104,7 @@ def _fields(data: Any, where: str, nested: bool = False, **spec) -> dict[str, An
             fields[key] = read[1]
         else:
             raise SchemaError(f"{where} is missing required key {key!r}")
+    _refuse_unknown(data, spec, where)
     return fields
 
 
@@ -136,15 +147,21 @@ def _as_cc(value: Any, where: str) -> ClarkeCoordinates:
 
 
 def _as_joints(joints: Any, where: str) -> JointArrangement:
-    """One of ``{"symmetric": {"n", "d"}}`` or ``{"explicit": [{"psi", "d"}, ...]}``."""
+    """One of ``{"symmetric": {"n", "d"}}`` or ``{"explicit": [{"psi", "d"}, ...]}``, and no other key."""
     joints = _as_mapping(joints, where)
     if ("symmetric" in joints) == ("explicit" in joints):
         raise SchemaError(f"{where} must have exactly one of 'symmetric' or 'explicit'")
+    _refuse_unknown(joints, ("symmetric", "explicit"), where)
     if "symmetric" in joints:
         sym = _fields(joints["symmetric"], f"{where}.symmetric", nested=True, n=_as_int, d=_as_number)
         return make_symmetric_arrangement(**sym)
     entries = _each(joints["explicit"], f"{where}.explicit", psi=_as_number, d=_as_number)
     return JointArrangement(psi=[e["psi"] for e in entries], d=[e["d"] for e in entries])
+
+
+# The readers that more than one document kind declares.
+_CONVENTION = partial(_member, Convention, error=SchemaError)
+_JOINT_SCALARS = dict(beta=(_as_number, None), alpha=(_as_number, None))
 
 
 def parse_robot(data: Any) -> RobotSpec:
@@ -161,9 +178,8 @@ def parse_robot(data: Any) -> RobotSpec:
 
     Raises:
         SchemaError: structural problems.
-        DomainError: well-formed but out-of-domain values (propagated
-            from the constructors, e.g. a symmetric arrangement with
-            n < 3).
+        DomainError: well-formed but out-of-domain values, from the
+            constructors (e.g. a symmetric arrangement with n < 3).
     """
     fields = _fields(
         data, "robot description",
@@ -185,9 +201,7 @@ def parse_joint_state(data: Any) -> JointState:
     Expected shape: ``{"convention": "rho"|"q", "values": [...],
     "beta": <num, optional>, "alpha": <num, optional>}``.
     """
-    convention = partial(_member, Convention, error=SchemaError)
-    return JointState(**_fields(data, "joint state", convention=convention, values=_as_numbers,
-                                beta=(_as_number, None), alpha=(_as_number, None)))
+    return JointState(**_fields(data, "joint state", convention=_CONVENTION, values=_as_numbers, **_JOINT_SCALARS))
 
 
 def parse_chain_state(data: Any) -> ChainState:
@@ -196,21 +210,18 @@ def parse_chain_state(data: Any) -> ChainState:
     Expected shape: ``{"convention": "rho"|"q",
     "segments": [{"values": [...]}, ...]}``.
     """
-    fields = _fields(data, "chain state", convention=partial(_member, Convention, error=SchemaError),
-                     segments=partial(_each, values=_as_numbers))
+    fields = _fields(data, "chain state", convention=_CONVENTION, segments=partial(_each, values=_as_numbers))
     return ChainState(fields["convention"], tuple(seg["values"] for seg in fields["segments"]))
 
 
-def load_state(path: str) -> JointState | ChainState:
-    """Load a state file, dispatching on shape.
+def _load_by_shape(path: str, where: str, single, chain):
+    data = _as_mapping(_load_json_file(path), where)
+    return (chain if "segments" in data else single)(data)
 
-    A document with a ``segments`` key is a chain state; one with a
-    ``values`` key is a single-segment joint state.
-    """
-    data = _as_mapping(_load_json_file(path), "state")
-    if "segments" in data:
-        return parse_chain_state(data)
-    return parse_joint_state(data)
+
+def load_state(path: str) -> JointState | ChainState:
+    """Load a state file: a chain state if it has ``segments``, else a joint state."""
+    return _load_by_shape(path, "state", parse_joint_state, parse_chain_state)
 
 
 def parse_clarke_state(data: Any) -> ExtendedClarkeState:
@@ -219,8 +230,7 @@ def parse_clarke_state(data: Any) -> ExtendedClarkeState:
     Expected shape: ``{"cc": [<re>, <im>], "beta": <num, optional>,
     "alpha": <num, optional>}``.
     """
-    return ExtendedClarkeState(**_fields(
-        data, "Clarke state", cc=_as_cc, beta=(_as_number, None), alpha=(_as_number, None)))
+    return ExtendedClarkeState(**_fields(data, "Clarke state", cc=_as_cc, **_JOINT_SCALARS))
 
 
 def parse_chain_clarke(data: Any) -> ChainClarke:
@@ -233,21 +243,21 @@ def parse_chain_clarke(data: Any) -> ChainClarke:
 
 
 def load_clarke(path: str) -> ExtendedClarkeState | ChainClarke:
-    """Load a Clarke-side state file, dispatching on shape."""
-    data = _as_mapping(_load_json_file(path), "Clarke state")
-    if "segments" in data:
-        return parse_chain_clarke(data)
-    return parse_clarke_state(data)
+    """Load a Clarke-side state file, dispatching on shape as :func:`load_state` does."""
+    return _load_by_shape(path, "Clarke state", parse_clarke_state, parse_chain_clarke)
+
+
+# The arc document: phi and theta_defined are derived, so they are emitted only.
+_ARC = dict(kappa=_as_number, theta=(_as_number, 0.0), l=_as_number, phi=None, theta_defined=None)
 
 
 def parse_arc(data: Any) -> ArcParameters:
     """Build ArcParameters from decoded JSON.
 
-    Expected shape: ``{"kappa": <num>, "theta": <num>, "l": <num>}``
-    (theta optional, default 0).
+    Expected shape: ``{"kappa": <num>, "theta": <num>, "l": <num>}`` (theta
+    optional, default 0); the emitted ``phi`` and ``theta_defined`` are ignored.
     """
-    return ArcParameters(**_fields(
-        data, "arc parameters", kappa=_as_number, theta=(_as_number, 0.0), l=_as_number))
+    return ArcParameters(**_fields(data, "arc parameters", **_ARC))
 
 
 def load_arc(path: str) -> ArcParameters:
@@ -273,11 +283,8 @@ def _finite_array(a) -> np.ndarray:
 
 
 def _with_joint_scalars(out: dict, state: JointState | ExtendedClarkeState) -> dict:
-    """Add the state's ``beta`` and ``alpha`` to ``out``, each only if set."""
-    for name in ("beta", "alpha"):
-        if getattr(state, name) is not None:
-            out[name] = getattr(state, name)
-    return out
+    """``out`` and the state's ``beta`` and ``alpha``, each only if set."""
+    return out | {key: getattr(state, key) for key in _JOINT_SCALARS if getattr(state, key) is not None}
 
 
 def clarke_state_dict(state: ExtendedClarkeState) -> dict:
@@ -301,23 +308,11 @@ def chain_state_dict(state: ChainState) -> dict:
 
 
 def arc_dict(arc: ArcParameters) -> dict:
-    return {
-        "kappa": arc.kappa,
-        "theta": arc.theta,
-        "l": arc.l,
-        "phi": arc.phi,
-        "theta_defined": arc.theta_defined,
-    }
+    return {key: getattr(arc, key) for key in _ARC}
 
 
 def violations_dict(violations: list[Violation]) -> dict:
-    return {
-        "valid": not violations,
-        "violations": [
-            {"segment": v.segment, "field": v.field, "message": v.message}
-            for v in violations
-        ],
-    }
+    return {"valid": not violations, "violations": [asdict(v) for v in violations]}
 
 
 def _exponent_form(m: re.Match) -> bytes:
@@ -372,7 +367,7 @@ def _pieces(obj: Any, level: int) -> Iterator[str]:
             if is_dict:
                 key, item = item
                 if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+                    raise DomainError(f"JSON object keys must be strings, got {key!r}")
                 yield json.dumps(key) + ": "
             yield from _pieces(item, level + 1)
         yield "\n" + "  " * level + ("}" if is_dict else "]")
@@ -392,12 +387,16 @@ def dump_json(obj: Any, stream: IO[str]) -> None:
     but all are made first: nothing is written unless the whole encodes.
 
     Raises:
-        DomainError: if a number is NaN or infinite, or obj nests too deeply.
+        DomainError: if a number is NaN or infinite, a key is not a string,
+            a leaf has no JSON form (as 1+2j), or obj nests too deeply.
     """
     try:
-        stream.writelines(list(_pieces(obj, 0)))
+        pieces = list(_pieces(obj, 0))
     except RecursionError:
         raise DomainError("result nests too deeply to encode as JSON") from None
+    except (TypeError, ValueError) as exc:  # from json.dumps or float() of a leaf
+        raise DomainError(f"result cannot be encoded as JSON: {exc}") from None
+    stream.writelines(pieces)
     stream.write("\n")
 
 

@@ -136,7 +136,7 @@ class JointArrangement:
     def __post_init__(self) -> None:
         try:
             psi, d = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.psi, self.d))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"psi and d must hold numbers ({exc})") from None
         if psi.ndim != 1 or d.ndim != 1:
             raise DomainError("psi and d must be one-dimensional")

@@ -99,11 +99,12 @@ VECTOR_ENTRIES = {
 
 LEAVES = st.one_of(
     st.floats(-1e3, 1e3),
-    st.sampled_from([math.nan, math.inf]),
+    st.sampled_from([math.nan, math.inf, 10**400, -(10**400)]),
     st.text(max_size=4),
     st.none(),
 )
-# Text, None, and nested lists, ragged or not, of numbers, text and None.
+# Text, None, integers past double range, and nested lists, ragged or not,
+# of numbers, text and None.
 UNCONVERTIBLE = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
 
 
@@ -114,6 +115,13 @@ def test_only_dacr_errors_escape_for_any_vector_input(entry, value):
         VECTOR_ENTRIES[entry](value)
     except DacrError:
         pass
+
+
+@pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+def test_integer_past_double_range_is_a_domain_error(entry, big):
+    with pytest.raises(DomainError, match="must hold numbers"):
+        VECTOR_ENTRIES[entry]([big, 0.0, 0.0])
 
 
 ARC = ArcParameters(0.01, 0.5, 100.0)

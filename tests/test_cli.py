@@ -24,6 +24,8 @@ from dacr import (
 )
 from dacr.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
+
 SYM3 = {
     "coupling": "independent",
     "segments": [
@@ -489,7 +491,8 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("cc", [[3.0, 4.0], [0.0, 0.0]], ids=["bent", "straight"])
     def test_arc_from_clarke_feeds_to_clarke_and_sample(self, capsys, write, cc):
-        # The arc carries the derived phi and theta_defined, which are read past.
+        # The arc carries the derived phi and theta_defined, which the arc
+        # document declares as emitted only: they are accepted and ignored.
         arc = self.emitted(capsys, write, ["arc", "from-clarke", "--input",
                                            write("cc.json", {"cc": cc}), "--d", "10", "--l", "100"])
         assert {"phi", "theta_defined"} <= json.loads(Path(arc).read_text()).keys()
@@ -512,6 +515,53 @@ class TestRoundTrips:
         doc = run_json(capsys, ["forward", "--robot", robot, "--input", state])
         np.testing.assert_allclose(doc.pop("cc"), cc.pop("cc"), atol=1e-12)
         assert doc == cc
+
+    @pytest.mark.parametrize("segment_type, state", [
+        ("type1", {"convention": "q", "values": [9.0, 10.5, 10.5]}),
+        ("type3", {"convention": "q", "values": [21.0, 22.0, 22.0], "alpha": 2.0}),
+    ])
+    def test_forward_with_extensions_feeds_inverse(self, capsys, write, segment_type, state):
+        robot = write("robot.json", {"segments": [
+            {"type": segment_type, "length": 4.0, "joints": {"symmetric": {"n": 3, "d": 10.0}}},
+        ]})
+        cc = self.emitted(capsys, write, ["forward", "--robot", robot,
+                                          "--input", write("q.json", state)])
+        assert "beta" in json.loads(Path(cc).read_text())
+        doc = run_json(capsys, ["inverse", "--robot", robot, "--input", cc])
+        np.testing.assert_allclose(doc["values"], state["values"], rtol=1e-12)
+        assert (doc["convention"], doc.get("alpha")) == ("q", state.get("alpha"))
+
+    def test_project_feeds_forward(self, capsys, write):
+        robot = write("robot.json", SYM3)
+        rho = write("rho.json", {"convention": "rho", "values": [3.0, 0.0, 0.0]})
+        projected = self.emitted(capsys, write, ["project", "--robot", robot, "--input", rho])
+        doc = run_json(capsys, ["forward", "--robot", robot, "--input", projected])
+        np.testing.assert_allclose(doc["cc"], [2.0, 0.0], atol=1e-12)
+
+    def test_chain_forward_feeds_chain_inverse(self, capsys, write):
+        robot, q = str(GOLDEN / "chain_robot.json"), GOLDEN / "chain_q.json"
+        cc = self.emitted(capsys, write, ["chain", "forward", "--robot", robot, "--input", str(q)])
+        doc = run_json(capsys, ["chain", "inverse", "--robot", robot, "--input", cc])
+        expect = json.loads(q.read_text())
+        assert doc["convention"] == expect["convention"]
+        np.testing.assert_allclose([s["values"] for s in doc["segments"]],
+                                   [s["values"] for s in expect["segments"]], rtol=1e-12)
+
+    def test_chain_inverse_feeds_chain_forward(self, capsys, write):
+        robot, cc = str(GOLDEN / "chain_robot.json"), GOLDEN / "chain_forward.expected.json"
+        q = self.emitted(capsys, write, ["chain", "inverse", "--robot", robot, "--input", str(cc)])
+        doc = run_json(capsys, ["chain", "forward", "--robot", robot, "--input", q])
+        np.testing.assert_allclose([s["cc"] for s in doc["segments"]],
+                                   [s["cc"] for s in json.loads(cc.read_text())["segments"]],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_arc_to_clarke_feeds_from_clarke(self, capsys, write):
+        arc = {"kappa": 0.01, "theta": 0.5, "l": 100.0}
+        cc = self.emitted(capsys, write, ["arc", "to-clarke", "--input", write("arc.json", arc),
+                                          "--d", "10"])
+        doc = run_json(capsys, ["arc", "from-clarke", "--input", cc, "--d", "10", "--l", "100"])
+        np.testing.assert_allclose([doc["kappa"], doc["theta"], doc["l"]], list(arc.values()),
+                                   rtol=1e-12)
 
     def test_chain_accumulate_feeds_chain_forward(self, capsys, write):
         robot = write("robot.json", CHAIN2)

@@ -79,6 +79,10 @@ ROWS = [
     pytest.param(["sample", "--input", "{tmp}/arc.json", "--points", "2"],
                  {"arc.json": {"kappa": None, "l": 1}}, ("code", 2, "kappa must be a number"),
                  id="null-kappa"),
+    # A misspelt optional key would otherwise take its default, theta 0.
+    pytest.param(["arc", "to-clarke", "--input", "{tmp}/arc.json", "--d", "10"],
+                 {"arc.json": {"kappa": 0.01, "l": 100, "Theta": 1.0}},
+                 ("code", 2, "unknown key 'Theta'"), id="misspelt-theta"),
     # 1e400 is valid JSON but parses to inf, which must not come back out
     # as the non-JSON token Infinity.
     pytest.param(["forward", "--robot", SYM3, "--input", "{tmp}/state.json"],

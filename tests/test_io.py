@@ -275,6 +275,24 @@ class TestParseArc:
             parse_arc({"kappa": -0.1, "l": 5})
 
 
+class TestUndeclaredKeys:
+    """A key a document does not declare is refused, named by its path, after
+    the object's declared keys have been read. parse_outcomes.json pins one
+    undeclared key in each object of each document kind."""
+
+    def test_misspelt_required_key_is_reported_missing(self):
+        with pytest.raises(SchemaError, match="missing required key 'kappa'"):
+            parse_arc({"Kappa": 0.01, "l": 100})
+
+    def test_declared_keys_are_read_first(self):
+        with pytest.raises(SchemaError, match="values\\[1\\] must be a number"):
+            parse_joint_state({"convention": "rho", "zz": 0, "values": [1, "2", 3]})
+
+    def test_emitted_arc_keys_are_ignored(self):
+        arc = parse_arc({"kappa": 0.01, "l": 100, "phi": 7.0, "theta_defined": False})
+        assert (arc.phi, arc.theta_defined) == (1.0, True)
+
+
 # One valid document per parse_* kind. Every case below starts from one of
 # them; the robot has one symmetric and one explicit segment.
 VALID_DOCUMENTS = {
@@ -320,17 +338,24 @@ def key_paths(doc, prefix=""):
             yield sub, (key, *keys)
 
 
+def at(doc, keys):
+    """The value of ``doc`` that ``keys`` lead to."""
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
 def parse_cases():
     """``(case, parse, document)``: each valid document, each key dropped or
-    replaced by each of REPLACEMENTS, and each replacement as the document."""
+    replaced by each of REPLACEMENTS, and each replacement as the document;
+    after them all, each object given an undeclared key ``zz``, and the arc
+    as arc_dict emits it, with ``phi`` and ``theta_defined``."""
     for kind, (parse, valid) in VALID_DOCUMENTS.items():
         yield f"{kind}: valid", parse, valid
         for path, keys in key_paths(valid):
             for label, value in {"drop": None, **REPLACEMENTS}.items():
                 doc = copy.deepcopy(valid)
-                parent = doc
-                for key in keys[:-1]:
-                    parent = parent[key]
+                parent = at(doc, keys[:-1])
                 if label == "drop":
                     del parent[keys[-1]]
                     yield f"{kind}: drop {path}", parse, doc
@@ -339,6 +364,13 @@ def parse_cases():
                     yield f"{kind}: {path} = {label}", parse, doc
         for label, value in REPLACEMENTS.items():
             yield f"{kind}: document = {label}", parse, copy.deepcopy(value)
+    for kind, (parse, valid) in VALID_DOCUMENTS.items():
+        for path, keys in [("document", ()), *key_paths(valid)]:
+            doc = copy.deepcopy(valid)
+            if isinstance(at(doc, keys), dict):
+                at(doc, keys)["zz"] = 0
+                yield f"{kind}: add zz to {path}", parse, doc
+    yield "arc: as emitted", parse_arc, arc_dict(parse_arc(VALID_DOCUMENTS["arc"][1]))
 
 
 def parse_outcomes():
@@ -359,7 +391,9 @@ class TestParseOutcomes:
     was written by ``parse_outcomes()`` from the per-document parsers that
     io's field reader replaced. The field reader changed one message, by
     hand in the golden: ``'segments' must be an array`` reads
-    ``segments must be an array``."""
+    ``segments must be an array``. The cases with an undeclared key and the
+    emitted arc were appended after the first 715, which they leave as
+    they were, when the reader began to refuse undeclared keys."""
 
     def test_every_case_keeps_its_class_and_message(self):
         golden = json.loads((Path(__file__).parent / "golden" / "parse_outcomes.json").read_text())
@@ -557,8 +591,18 @@ class TestDumpJsonIdentity:
         assert buf.getvalue() == json.dumps({"a": a.tolist()}, indent=2) + "\n"
 
     def test_non_string_key_refused(self):
-        with pytest.raises(TypeError):
-            dump_json({1: 2.0}, io.StringIO())
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="keys must be strings"):
+            dump_json({"ok": 1.0, 1: 2.0}, buf)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("leaf", [object(), 1 + 2j, {1.0, 2.0}, np.array(["x"])],
+                             ids=["object", "complex", "set", "text-array"])
+    def test_unencodable_leaf_refused_before_writing(self, leaf):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="cannot be encoded as JSON"):
+            dump_json({"ok": [1.0], "a": leaf}, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("obj", [
         {"beta": float("inf")},
