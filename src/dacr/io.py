@@ -5,9 +5,9 @@ that round-trips to the same IEEE-754 double: lossless and stable
 across platforms, so emitted files can be compared byte-for-byte. JSON
 text is exactly ``json.dumps(obj, indent=2)``, written as unjoined
 pieces; float arrays are formatted in row blocks by orjson, indented at
-their nesting depth, and re-spelled where it differs from ``repr`` (the
-positional 0.000015 only in blocks with 0 < |x| < 1e-4). NaN and
-infinity have no JSON form and are refused with :class:`~dacr.errors.DomainError`.
+their nesting depth, with ``repr`` spliced in where orjson spells a value
+otherwise. NaN, infinity and complex numbers have no JSON or CSV form and
+are refused with :class:`~dacr.errors.DomainError`.
 
 Every document is read by one field reader, ``_fields``: a key without a
 default is required, only the optional ``beta`` and ``alpha`` may be null,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import asdict
 from functools import partial
 from typing import IO, Any, Iterator
@@ -269,13 +268,15 @@ def load_arc(path: str) -> ArcParameters:
 # emission
 
 # Rows per block of a formatted float array: orjson's output and its
-# rewrites never exceed one block, and CSV is written block by block.
+# respelling never exceed one block, and CSV is written block by block.
 _BLOCK_ROWS = 4096
 
 _NON_FINITE = "result holds a non-finite number, which JSON and CSV cannot carry"
 
 
 def _finite_array(a) -> np.ndarray:
+    if np.asarray(a).dtype.kind == "c":  # a cast to float would drop the imaginary part
+        raise DomainError("result cannot be encoded as JSON or CSV: it holds a complex number")
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise DomainError(_NON_FINITE)
@@ -315,18 +316,11 @@ def violations_dict(violations: list[Violation]) -> dict:
     return {"valid": not violations, "violations": [asdict(v) for v in violations]}
 
 
-def _exponent_form(m: re.Match) -> bytes:
-    """repr's 1.5e-05 for orjson's 0.000015; unchanged after a digit, as the tail of 10.000015."""
-    if m.string[m.start() - 1 : m.start()].isdigit():
-        return m[0]
-    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
-
-
 def _format_blocks(a: np.ndarray, level: int | None) -> Iterator[str]:
     """Each ``_BLOCK_ROWS``-row block of a finite float array in ``repr``'s
-    spelling: its items, indented by orjson for nesting depth ``level``, or
-    with ``None`` the compact rows of a 2-D table. orjson's 1e16, 1.5e-7 and
-    0.000015 are rewritten; the last only in blocks holding 0 < |x| < 1e-4."""
+    spelling: items indented by orjson for nesting depth ``level``, or with
+    ``None`` a 2-D table's compact rows. Where 0 < |x| < 1e-4 or |x| >= 1e16,
+    orjson's spelling differs: x is encoded as NaN, written ``null``, and its repr spliced in."""
     import orjson  # here, so that a process that emits no array never loads it
 
     option = orjson.OPT_SERIALIZE_NUMPY | (0 if level is None else orjson.OPT_INDENT_2)
@@ -335,18 +329,24 @@ def _format_blocks(a: np.ndarray, level: int | None) -> Iterator[str]:
     head, tail = (2, 2) if level is None else (level * (level + 3) + 1, level * (level + 3) + 2)
     for start in range(0, a.shape[0], _BLOCK_ROWS):
         block = np.ascontiguousarray(a[start : start + _BLOCK_ROWS])
-        wrapped = block
+        size = np.abs(block)
+        odd = ((size < 1e-4) | (size >= 1e16)) & (block != 0)
+        respell = odd.any()
+        wrapped = np.where(odd, np.nan, block) if respell else block
         for _ in range(level or 0):
             wrapped = [wrapped]
         try:
             text = orjson.dumps(wrapped, option=option)
         except orjson.JSONEncodeError:  # a float array's only failure: nesting past orjson's limit
             raise DomainError("result nests too deeply to encode as JSON") from None
-        if b"e" in text:
-            text = re.sub(rb"e-(\d)\b", rb"e-0\1", text.replace(b"e", b"e+").replace(b"e+-", b"e-"))
-        if ((np.abs(block) < 1e-4) & (block != 0)).any():
-            text = re.sub(rb"0\.0000([1-9])(\d*)", _exponent_form, text)
-        yield str(memoryview(text)[head : len(text) - tail], "ascii")
+        text = str(memoryview(text)[head : len(text) - tail], "ascii")
+        if respell:
+            pieces = text.split("null")
+            spliced = [""] * (2 * len(pieces) - 1)
+            spliced[::2] = pieces
+            spliced[1::2] = map(float.__repr__, block[odd].tolist())
+            text = "".join(spliced)
+        yield text
 
 
 def _pieces(obj: Any, level: int) -> Iterator[str]:
@@ -406,7 +406,7 @@ def _write_csv(header: str, table: np.ndarray, stream: IO[str]) -> None:
         raise DimensionMismatch(f"a CSV table must be two-dimensional, got shape {table.shape}")
     stream.write(header)
     for rows in _format_blocks(table, None):
-        stream.write(rows.replace("],[", "\n"))
+        stream.write("\n".join(rows.split("],[")))
         stream.write("\n")  # apart: appending it would copy the block once more
 
 

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -516,15 +517,17 @@ TEXT = st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline",
 
 
 # Values where orjson's spelling and repr's differ, or sit at an edge of
-# the two rewrites in io._format_blocks: signed zero, subnormal and
-# normal minima, the positional range 1e-5 <= |x| < 1e-4 and its ends,
-# the switch to exponent form at 1e16, the largest double, and numbers
-# whose tails look like the positional range.
+# the set io._format_blocks respells, 0 < |x| < 1e-4 or |x| >= 1e16:
+# signed zero, subnormal and normal minima, the positional range
+# 1e-5 <= |x| < 1e-4, the bounds 1e-5, 1e-4 and 1e16 with their
+# neighbours on both sides, the largest double, and numbers whose tails
+# look like the positional range.
+SPELLING_BOUNDS = (1e-05, 1e-4, 1e16)
 SPELLING_EDGES = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308,
-    1e-05, 1.5e-05, -1.5e-05,
-    9.999999999999999e-05, 1e-4,
-    9999999999999998.0, 1e16,
+    1.5e-05, -1.5e-05,
+    *SPELLING_BOUNDS,
+    *(math.nextafter(x, side) for x in SPELLING_BOUNDS for side in (0.0, math.inf)),
     1.7976931348623157e308,
     10.00001, 100.000012,
 ]
@@ -596,8 +599,8 @@ class TestDumpJsonIdentity:
             dump_json({"ok": 1.0, 1: 2.0}, buf)
         assert buf.getvalue() == ""
 
-    @pytest.mark.parametrize("leaf", [object(), 1 + 2j, {1.0, 2.0}, np.array(["x"])],
-                             ids=["object", "complex", "set", "text-array"])
+    @pytest.mark.parametrize("leaf", [object(), 1 + 2j, {1.0, 2.0}, np.array(["x"]), np.array([1 + 2j])],
+                             ids=["object", "complex", "set", "text-array", "complex-array"])
     def test_unencodable_leaf_refused_before_writing(self, leaf):
         buf = io.StringIO()
         with pytest.raises(DomainError, match="cannot be encoded as JSON"):
@@ -694,6 +697,13 @@ class TestCsvIdentity:
 
 
 class TestCsvWriters:
+    @pytest.mark.filterwarnings("error")  # and without NumPy's ComplexWarning
+    def test_complex_refused_before_writing(self):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="complex number"):
+            write_matrix_csv("m", np.array([[1 + 2j, 3]]), buf)
+        assert buf.getvalue() == ""
+
     def test_matrix_block(self):
         buf = io.StringIO()
         write_matrix_csv("mp_inv", np.array([[1.0, 0.0], [-0.5, 0.5]]), buf)
@@ -786,3 +796,36 @@ class TestArraySpelling:
         buf = io.StringIO()
         write_matrix_csv("m", a, buf)
         assert buf.getvalue() == repr_rows("m", a)
+
+    # Three-row blocks: the first masked throughout, the second only at its
+    # first and last items, and the third not at all.
+    MASKED_AT_ENDS = np.array([
+        [1e-05, -3e16], [2e-300, 1.5e-05], [5e-324, 1.7976931348623157e308],
+        [1e16, 0.5], [2.0, 0.25], [-0.75, -1e-07],
+        [1.0, 2.0], [1e-4, 9999999999999998.0], [0.0, -0.0],
+    ])
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("a", [MASKED_AT_ENDS, MASKED_AT_ENDS.ravel()], ids=["2d", "1d"])
+    def test_json_masked_at_block_ends(self, a, level):
+        doc, expect = nest(a, level)
+        buf = io.StringIO()
+        with mock.patch.object(dacr.io, "_BLOCK_ROWS", 3):
+            dump_json(doc, buf)
+        assert buf.getvalue() == json.dumps(expect, indent=2) + "\n"
+
+    def test_csv_masked_at_block_ends(self):
+        buf = io.StringIO()
+        with mock.patch.object(dacr.io, "_BLOCK_ROWS", 3):
+            write_matrix_csv("m", self.MASKED_AT_ENDS, buf)
+        assert buf.getvalue() == repr_rows("m", self.MASKED_AT_ENDS)
+
+    @pytest.mark.parametrize("indent", [False, True])
+    def test_orjson_writes_nan_as_null(self, indent):
+        # The respelling relies on it: each masked value goes to orjson as NaN.
+        import orjson
+
+        option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_INDENT_2 if indent else 0)
+        text = orjson.dumps(np.array([[np.nan, 1.0], [2.5, np.nan]]), option=option).decode()
+        layout = {"indent": 2} if indent else {"separators": (",", ":")}
+        assert text == json.dumps([[None, 1.0], [2.5, None]], **layout)
